@@ -33,31 +33,7 @@ void
 CacheStats::regStats(stats::Registry &registry,
                      const std::string &prefix) const
 {
-    auto scalar = [&](const char *leaf, const char *desc,
-                      const std::uint64_t &counter) {
-        registry.addScalar(prefix + "." + leaf, desc,
-                           [&counter] { return counter; });
-    };
-    scalar("readAccesses", "loads + ifetches", readAccesses);
-    scalar("readMisses", "read misses incl. sub-block", readMisses);
-    scalar("writeAccesses", "stores", writeAccesses);
-    scalar("writeMisses", "write misses", writeMisses);
-    scalar("subBlockMisses", "tag hit but words invalid",
-           subBlockMisses);
-    scalar("fills", "fetches from the next level", fills);
-    scalar("wordsFetched", "words fetched from below", wordsFetched);
-    scalar("blocksReplaced", "blocks replaced", blocksReplaced);
-    scalar("dirtyBlocksReplaced", "dirty blocks written back",
-           dirtyBlocksReplaced);
-    scalar("dirtyWordsReplaced", "dirty words written back",
-           dirtyWordsReplaced);
-    scalar("wordsWrittenThrough", "words written through",
-           wordsWrittenThrough);
-    scalar("prefetches", "prefetch fills issued", prefetches);
-    scalar("prefetchHits", "demand hits on prefetched blocks",
-           prefetchHits);
-    scalar("victimHits", "misses swapped back from the victim cache",
-           victimHits);
+    stats::regFields(registry, prefix, *this);
     registry.addFormula(prefix + ".readMissRatio",
                         "read misses / read accesses",
                         [this] { return readMissRatio(); });

@@ -38,17 +38,13 @@
 
 #include "cache/cache_config.hh"
 #include "cache/mask.hh"
+#include "stats/fields.hh"
 #include "trace/ref.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -108,20 +104,48 @@ enum class HitKind : std::uint8_t
 /** Running counters; reset at the warm-start boundary. */
 struct CacheStats
 {
-    std::uint64_t readAccesses = 0;   ///< loads + ifetches
-    std::uint64_t readMisses = 0;     ///< including sub-block misses
+    std::uint64_t readAccesses = 0;
+    std::uint64_t readMisses = 0;
     std::uint64_t writeAccesses = 0;
     std::uint64_t writeMisses = 0;
-    std::uint64_t subBlockMisses = 0; ///< tag hit but words invalid
-    std::uint64_t fills = 0;          ///< fetches from the next level
+    std::uint64_t subBlockMisses = 0;
+    std::uint64_t fills = 0;
     std::uint64_t wordsFetched = 0;
     std::uint64_t blocksReplaced = 0;
     std::uint64_t dirtyBlocksReplaced = 0;
     std::uint64_t dirtyWordsReplaced = 0;
     std::uint64_t wordsWrittenThrough = 0;
-    std::uint64_t prefetches = 0;        ///< prefetch fills issued
-    std::uint64_t prefetchHits = 0;      ///< demand hits on them
-    std::uint64_t victimHits = 0;        ///< misses swapped back in
+    std::uint64_t prefetches = 0;
+    std::uint64_t prefetchHits = 0;
+    std::uint64_t victimHits = 0;
+
+    /** The field list (stats/fields.hh), in registration order. */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using S = CacheStats;
+        fn("readAccesses", "loads + ifetches", &S::readAccesses);
+        fn("readMisses", "read misses incl. sub-block", &S::readMisses);
+        fn("writeAccesses", "stores", &S::writeAccesses);
+        fn("writeMisses", "write misses", &S::writeMisses);
+        fn("subBlockMisses", "tag hit but words invalid",
+           &S::subBlockMisses);
+        fn("fills", "fetches from the next level", &S::fills);
+        fn("wordsFetched", "words fetched from below", &S::wordsFetched);
+        fn("blocksReplaced", "blocks replaced", &S::blocksReplaced);
+        fn("dirtyBlocksReplaced", "dirty blocks written back",
+           &S::dirtyBlocksReplaced);
+        fn("dirtyWordsReplaced", "dirty words written back",
+           &S::dirtyWordsReplaced);
+        fn("wordsWrittenThrough", "words written through",
+           &S::wordsWrittenThrough);
+        fn("prefetches", "prefetch fills issued", &S::prefetches);
+        fn("prefetchHits", "demand hits on prefetched blocks",
+           &S::prefetchHits);
+        fn("victimHits", "misses swapped back from the victim cache",
+           &S::victimHits);
+    }
 
     /** @return read misses / read accesses (the paper's miss ratio). */
     double readMissRatio() const;
@@ -143,20 +167,7 @@ struct CacheStats
     void
     merge(const CacheStats &other)
     {
-        readAccesses += other.readAccesses;
-        readMisses += other.readMisses;
-        writeAccesses += other.writeAccesses;
-        writeMisses += other.writeMisses;
-        subBlockMisses += other.subBlockMisses;
-        fills += other.fills;
-        wordsFetched += other.wordsFetched;
-        blocksReplaced += other.blocksReplaced;
-        dirtyBlocksReplaced += other.dirtyBlocksReplaced;
-        dirtyWordsReplaced += other.dirtyWordsReplaced;
-        wordsWrittenThrough += other.wordsWrittenThrough;
-        prefetches += other.prefetches;
-        prefetchHits += other.prefetchHits;
-        victimHits += other.victimHits;
+        stats::mergeFields(*this, other);
     }
 };
 

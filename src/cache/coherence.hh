@@ -81,31 +81,48 @@ const char *cohStateName(CohState state);
  */
 struct CoherenceStats
 {
-    std::uint64_t busTransactions = 0; ///< misses + upgrades arbitrated
-    std::uint64_t snoops = 0;          ///< transactions peers observed
-    std::uint64_t invalidations = 0;   ///< peer copies invalidated
-    std::uint64_t upgrades = 0;        ///< S->M ownership requests
-    std::uint64_t interventions = 0;   ///< dirty peer answered a snoop
-    std::uint64_t writebacks = 0;      ///< snoop-forced flushes to L2
+    std::uint64_t busTransactions = 0;
+    std::uint64_t snoops = 0;
+    std::uint64_t invalidations = 0;
+    std::uint64_t upgrades = 0;
+    std::uint64_t interventions = 0;
+    std::uint64_t writebacks = 0;
 
-    Tick upgradeCycles = 0;      ///< bus cycles spent on upgrades
-    Tick interventionCycles = 0; ///< cycles flushing dirty peer copies
-    Tick busBusyCycles = 0;      ///< total cycles the bus was held
+    Tick upgradeCycles = 0;
+    Tick interventionCycles = 0;
+    Tick busBusyCycles = 0;
+
+    /** The field list (stats/fields.hh), in registration order. */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using S = CoherenceStats;
+        fn("busTransactions", "bus transactions arbitrated",
+           &S::busTransactions);
+        fn("snoops", "transactions peers observed", &S::snoops);
+        fn("invalidations", "peer copies invalidated",
+           &S::invalidations);
+        fn("upgrades", "shared-to-modified ownership requests",
+           &S::upgrades);
+        fn("interventions", "snoops answered by a dirty peer",
+           &S::interventions);
+        fn("writebacks", "snoop-forced flushes to the L2",
+           &S::writebacks);
+        fn("upgradeCycles", "bus cycles spent on upgrades",
+           &S::upgradeCycles);
+        fn("interventionCycles", "cycles flushing dirty peer copies",
+           &S::interventionCycles);
+        fn("busBusyCycles", "total cycles the bus was held",
+           &S::busBusyCycles);
+    }
 
     void reset() { *this = CoherenceStats(); }
 
     void
     merge(const CoherenceStats &other)
     {
-        busTransactions += other.busTransactions;
-        snoops += other.snoops;
-        invalidations += other.invalidations;
-        upgrades += other.upgrades;
-        interventions += other.interventions;
-        writebacks += other.writebacks;
-        upgradeCycles += other.upgradeCycles;
-        interventionCycles += other.interventionCycles;
-        busBusyCycles += other.busBusyCycles;
+        stats::mergeFields(*this, other);
     }
 };
 

@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "stats/fields.hh"
 #include "trace/ref.hh"
 
 namespace cachetime
@@ -47,6 +48,21 @@ struct MissClassStats
     std::uint64_t conflict = 0;
     std::uint64_t coherence = 0;
 
+    /** The field list (stats/fields.hh), in registration order. */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using S = MissClassStats;
+        fn("compulsory", "first-touch misses", &S::compulsory);
+        fn("capacity",
+           "misses a fully-associative equal-size cache also takes",
+           &S::capacity);
+        fn("conflict", "placement-induced misses", &S::conflict);
+        fn("coherence", "first re-touches after a peer invalidation",
+           &S::coherence);
+    }
+
     std::uint64_t
     total() const
     {
@@ -58,10 +74,7 @@ struct MissClassStats
     void
     merge(const MissClassStats &other)
     {
-        compulsory += other.compulsory;
-        capacity += other.capacity;
-        conflict += other.conflict;
-        coherence += other.coherence;
+        stats::mergeFields(*this, other);
     }
 };
 

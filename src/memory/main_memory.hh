@@ -19,14 +19,10 @@
 
 #include "memory/mem_level.hh"
 #include "memory/memory_timing.hh"
+#include "stats/fields.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -38,12 +34,30 @@ struct MainMemoryStats
     std::uint64_t writes = 0;
     std::uint64_t wordsRead = 0;
     std::uint64_t wordsWritten = 0;
-    Tick busyCycles = 0;     ///< cycles the unit was occupied
-    Tick readWaitCycles = 0; ///< read start delays due to busy memory
+    Tick busyCycles = 0;
+    Tick readWaitCycles = 0;
+
+    /** The field list (stats/fields.hh), in registration order. */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using S = MainMemoryStats;
+        fn("reads", "read operations", &S::reads);
+        fn("writes", "write operations", &S::writes);
+        fn("wordsRead", "words read", &S::wordsRead);
+        fn("wordsWritten", "words written", &S::wordsWritten);
+        fn("busyCycles", "cycles the unit was occupied", &S::busyCycles);
+        fn("readWaitCycles", "read start delays due to busy memory",
+           &S::readWaitCycles);
+    }
 
     /** Register every counter under @p prefix in @p registry. */
-    void regStats(stats::Registry &registry,
-                  const std::string &prefix) const;
+    void
+    regStats(stats::Registry &registry, const std::string &prefix) const
+    {
+        stats::regFields(registry, prefix, *this);
+    }
 
     void reset() { *this = MainMemoryStats(); }
 
@@ -51,12 +65,7 @@ struct MainMemoryStats
     void
     merge(const MainMemoryStats &other)
     {
-        reads += other.reads;
-        writes += other.writes;
-        wordsRead += other.wordsRead;
-        wordsWritten += other.wordsWritten;
-        busyCycles += other.busyCycles;
-        readWaitCycles += other.readWaitCycles;
+        stats::mergeFields(*this, other);
     }
 };
 

@@ -13,10 +13,7 @@ void
 TlbStats::regStats(stats::Registry &registry,
                    const std::string &prefix) const
 {
-    registry.addScalar(prefix + ".accesses", "translations",
-                       [this] { return accesses; });
-    registry.addScalar(prefix + ".misses", "TLB misses",
-                       [this] { return misses; });
+    stats::regFields(registry, prefix, *this);
     registry.addFormula(prefix + ".missRatio",
                         "misses / translations",
                         [this] { return missRatio(); });

@@ -25,15 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "stats/fields.hh"
 #include "util/types.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -58,6 +54,16 @@ struct TlbStats
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
 
+    /** The field list (stats/fields.hh), in registration order. */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using S = TlbStats;
+        fn("accesses", "translations", &S::accesses);
+        fn("misses", "TLB misses", &S::misses);
+    }
+
     double
     missRatio() const
     {
@@ -76,8 +82,7 @@ struct TlbStats
     void
     merge(const TlbStats &other)
     {
-        accesses += other.accesses;
-        misses += other.misses;
+        stats::mergeFields(*this, other);
     }
 };
 

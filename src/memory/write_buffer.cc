@@ -4,44 +4,12 @@
 
 #include <algorithm>
 
-#include "stats/stats.hh"
 #include "trace_debug/trace_debug.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
 namespace cachetime
 {
-
-void
-WriteBufferStats::regStats(stats::Registry &registry,
-                           const std::string &prefix) const
-{
-    auto scalar = [&](const char *leaf, const char *desc,
-                      const std::uint64_t &counter) {
-        registry.addScalar(prefix + "." + leaf, desc,
-                           [&counter] { return counter; });
-    };
-    scalar("enqueued", "writes accepted", enqueued);
-    scalar("wordsEnqueued", "words accepted", wordsEnqueued);
-    scalar("coalesced", "writes merged into a queued entry",
-           coalesced);
-    scalar("retired", "entries drained downstream", retired);
-    scalar("readMatches", "reads stalled by an address match",
-           readMatches);
-    scalar("fullStalls", "enqueues that found the buffer full",
-           fullStalls);
-    registry.addScalar(prefix + ".readMatchStallCycles",
-                       "cycles reads waited on matches",
-                       [this] { return readMatchStallCycles; });
-    registry.addScalar(prefix + ".fullStallCycles",
-                       "cycles writers waited on a full buffer",
-                       [this] { return fullStallCycles; });
-    registry.addScalar(prefix + ".maxOccupancy",
-                       "deepest queue observed",
-                       [this] { return maxOccupancy; });
-    registry.addHistogram(prefix + ".occupancy",
-                          "queue depth at each enqueue", &occupancy);
-}
 
 WriteBuffer::WriteBuffer(const WriteBufferConfig &config,
                          MemLevel *downstream, std::string name)

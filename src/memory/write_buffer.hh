@@ -16,20 +16,17 @@
 #ifndef CACHETIME_MEMORY_WRITE_BUFFER_HH
 #define CACHETIME_MEMORY_WRITE_BUFFER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "memory/mem_level.hh"
+#include "stats/fields.hh"
 #include "util/histogram.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -69,40 +66,60 @@ struct WriteBufferStats
     std::uint64_t wordsEnqueued = 0;
     std::uint64_t coalesced = 0;
     std::uint64_t retired = 0;
-    std::uint64_t readMatches = 0;       ///< reads stalled by a match
+    std::uint64_t readMatches = 0;
+    std::uint64_t fullStalls = 0;
     Tick readMatchStallCycles = 0;
-    std::uint64_t fullStalls = 0;        ///< enqueues that found it full
     Tick fullStallCycles = 0;
     unsigned maxOccupancy = 0;
 
     /** Queue occupancy observed at each enqueue. */
     Histogram occupancy{17, 1};
 
+    /** The field list (stats/fields.hh), in registration order. */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using S = WriteBufferStats;
+        fn("enqueued", "writes accepted", &S::enqueued);
+        fn("wordsEnqueued", "words accepted", &S::wordsEnqueued);
+        fn("coalesced", "writes merged into a queued entry",
+           &S::coalesced);
+        fn("retired", "entries drained downstream", &S::retired);
+        fn("readMatches", "reads stalled by an address match",
+           &S::readMatches);
+        fn("fullStalls", "enqueues that found the buffer full",
+           &S::fullStalls);
+        fn("readMatchStallCycles", "cycles reads waited on matches",
+           &S::readMatchStallCycles);
+        fn("fullStallCycles", "cycles writers waited on a full buffer",
+           &S::fullStallCycles);
+        fn("maxOccupancy", "deepest queue observed", &S::maxOccupancy);
+        fn("occupancy", "queue depth at each enqueue", &S::occupancy);
+    }
+
     /**
      * Register every counter plus the occupancy histogram under
      * @p prefix in @p registry; *this must outlive every dump.
      */
-    void regStats(stats::Registry &registry,
-                  const std::string &prefix) const;
+    void
+    regStats(stats::Registry &registry, const std::string &prefix) const
+    {
+        stats::regFields(registry, prefix, *this);
+    }
 
     void reset() { *this = WriteBufferStats(); }
 
-    /** Accumulate @p other (warm-segment measured-stats gathering). */
+    /**
+     * Accumulate @p other (warm-segment measured-stats gathering):
+     * every field sums except maxOccupancy, a high-water mark.
+     */
     void
     merge(const WriteBufferStats &other)
     {
-        enqueued += other.enqueued;
-        wordsEnqueued += other.wordsEnqueued;
-        coalesced += other.coalesced;
-        retired += other.retired;
-        readMatches += other.readMatches;
-        readMatchStallCycles += other.readMatchStallCycles;
-        fullStalls += other.fullStalls;
-        fullStallCycles += other.fullStallCycles;
-        maxOccupancy = maxOccupancy > other.maxOccupancy
-                           ? maxOccupancy
-                           : other.maxOccupancy;
-        occupancy.merge(other.occupancy);
+        unsigned peak = std::max(maxOccupancy, other.maxOccupancy);
+        stats::mergeFields(*this, other);
+        maxOccupancy = peak;
     }
 };
 

@@ -210,68 +210,8 @@ SimResult::regStats(stats::Registry &registry,
     if (coherent) {
         registry.addScalar(name("cores"), "simulated cores",
                            [this] { return cores; });
-        std::string coh = root + ".coh";
-        auto cname = [&](const char *leaf) {
-            return coh + "." + leaf;
-        };
-        registry.addScalar(cname("busTransactions"),
-                           "bus transactions arbitrated",
-                           [this] {
-                               return coherenceStats.busTransactions;
-                           });
-        registry.addScalar(cname("snoops"),
-                           "transactions peers observed",
-                           [this] { return coherenceStats.snoops; });
-        registry.addScalar(cname("invalidations"),
-                           "peer copies invalidated",
-                           [this] {
-                               return coherenceStats.invalidations;
-                           });
-        registry.addScalar(cname("upgrades"),
-                           "shared-to-modified ownership requests",
-                           [this] { return coherenceStats.upgrades; });
-        registry.addScalar(cname("interventions"),
-                           "snoops answered by a dirty peer",
-                           [this] {
-                               return coherenceStats.interventions;
-                           });
-        registry.addScalar(cname("writebacks"),
-                           "snoop-forced flushes to the L2",
-                           [this] {
-                               return coherenceStats.writebacks;
-                           });
-        registry.addScalar(cname("upgradeCycles"),
-                           "bus cycles spent on upgrades",
-                           [this] {
-                               return coherenceStats.upgradeCycles;
-                           });
-        registry.addScalar(cname("interventionCycles"),
-                           "cycles flushing dirty peer copies",
-                           [this] {
-                               return coherenceStats
-                                   .interventionCycles;
-                           });
-        registry.addScalar(cname("busBusyCycles"),
-                           "total cycles the bus was held",
-                           [this] {
-                               return coherenceStats.busBusyCycles;
-                           });
-
-        std::string cls = root + ".missclass";
-        registry.addScalar(cls + ".compulsory",
-                           "first-touch misses",
-                           [this] { return missClasses.compulsory; });
-        registry.addScalar(cls + ".capacity",
-                           "misses a fully-associative equal-size "
-                           "cache also takes",
-                           [this] { return missClasses.capacity; });
-        registry.addScalar(cls + ".conflict",
-                           "placement-induced misses",
-                           [this] { return missClasses.conflict; });
-        registry.addScalar(cls + ".coherence",
-                           "first re-touches after a peer "
-                           "invalidation",
-                           [this] { return missClasses.coherence; });
+        stats::regFields(registry, root + ".coh", coherenceStats);
+        stats::regFields(registry, root + ".missclass", missClasses);
 
         for (std::size_t c = 0; c < coreDcache.size(); ++c) {
             std::string core =

@@ -4,67 +4,31 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
-#include "stats/stats.hh"
+#include "stats/fields.hh"
 #include "stats/telemetry.hh"
 #include "util/logging.hh"
 
 namespace cachetime
 {
 
-namespace
-{
-
-/**
- * The single field list behind minus() and add(): applies @p fn to
- * every counter pair, so the two operations (and any future one)
- * can never drift apart from the struct or from each other.
- */
-template <typename Fn>
-void
-forEachCounter(IntervalCounters &a, const IntervalCounters &b,
-               Fn &&fn)
-{
-    fn(a.refs, b.refs);
-    fn(a.readRefs, b.readRefs);
-    fn(a.writeRefs, b.writeRefs);
-    fn(a.groups, b.groups);
-    fn(a.cycles, b.cycles);
-    fn(a.ifetchAccesses, b.ifetchAccesses);
-    fn(a.ifetchMisses, b.ifetchMisses);
-    fn(a.readAccesses, b.readAccesses);
-    fn(a.readMisses, b.readMisses);
-    fn(a.writeAccesses, b.writeAccesses);
-    fn(a.writeMisses, b.writeMisses);
-    fn(a.wbufEnqueued, b.wbufEnqueued);
-    fn(a.wbufFullStalls, b.wbufFullStalls);
-    fn(a.wbufOccupancyCount, b.wbufOccupancyCount);
-    fn(a.wbufOccupancySum, b.wbufOccupancySum);
-    fn(a.tlbAccesses, b.tlbAccesses);
-    fn(a.tlbMisses, b.tlbMisses);
-    fn(a.memReads, b.memReads);
-    fn(a.memWrites, b.memWrites);
-    fn(a.cohInvalidations, b.cohInvalidations);
-    fn(a.cohUpgrades, b.cohUpgrades);
-    fn(a.cohBusBusyCycles, b.cohBusBusyCycles);
-}
-
-} // namespace
-
 IntervalCounters
 IntervalCounters::minus(const IntervalCounters &base) const
 {
     IntervalCounters d = *this;
-    forEachCounter(d, base,
-                   [](auto &into, const auto &from) { into -= from; });
+    forEachField([&](const char *, const char *, auto member) {
+        d.*member -= base.*member;
+    });
     return d;
 }
 
 void
 IntervalCounters::add(const IntervalCounters &other)
 {
-    forEachCounter(*this, other,
-                   [](auto &into, const auto &from) { into += from; });
+    stats::mergeFields(*this, other);
 }
 
 namespace
@@ -213,12 +177,61 @@ IntervalCollector::clear()
 namespace
 {
 
-std::string
-num(double v)
+/**
+ * The interval column list behind the CSV header, the CSV rows and
+ * the JSON objects: fn(name, value) for the window's identity, then
+ * for IntervalCounters' field list with each derived value at its
+ * column (the ratios after cycles, the mean occupancy in place of
+ * the (count, sum) pair it is computed from), then for host time.
+ */
+template <typename Fn>
+void
+forEachColumn(const IntervalRecord &r, Fn &&fn)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    fn("trace", r.trace);
+    fn("window", r.index);
+    fn("begin_ref", r.beginRef);
+    fn("end_ref", r.endRef);
+    fn("final", r.final);
+    IntervalCounters::forEachField(
+        [&](std::string_view column, const char *, auto member) {
+            if (column == "wbuf_occupancy_count")
+                return;
+            if (column == "wbuf_occupancy_sum") {
+                fn("wbuf_mean_occupancy", r.wbufMeanOccupancy());
+                return;
+            }
+            fn(column, r.c.*member);
+            if (column == "cycles") {
+                fn("cpi", r.cpi());
+                fn("read_miss_ratio", r.readMissRatio());
+                fn("ifetch_miss_ratio", r.ifetchMissRatio());
+                fn("write_miss_ratio", r.writeMissRatio());
+            }
+        });
+    fn("wall_seconds", r.wallSeconds);
+    fn("refs_per_sec", r.refsPerSec());
+}
+
+/** Write one column value as a CSV cell or a JSON value. */
+template <typename T>
+void
+writeValue(std::ostream &os, const T &v, bool json)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (json)
+            os << '"' << stats::jsonEscape(v) << '"';
+        else
+            os << v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        os << (json ? (v ? "true" : "false") : (v ? "1" : "0"));
+    } else if constexpr (std::is_floating_point_v<T>) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        os << buf;
+    } else {
+        os << v;
+    }
 }
 
 } // namespace
@@ -226,32 +239,19 @@ num(double v)
 void
 IntervalCollector::dumpCsv(std::ostream &os) const
 {
-    os << "trace,window,begin_ref,end_ref,final,refs,reads,writes,"
-          "groups,cycles,cpi,read_miss_ratio,ifetch_miss_ratio,"
-          "write_miss_ratio,ifetch_accesses,ifetch_misses,"
-          "read_accesses,read_misses,write_accesses,write_misses,"
-          "wbuf_enqueued,wbuf_full_stalls,wbuf_mean_occupancy,"
-          "tlb_accesses,tlb_misses,mem_reads,mem_writes,"
-          "coh_invalidations,coh_upgrades,coh_bus_busy_cycles,"
-          "wall_seconds,refs_per_sec\n";
+    const char *sep = "";
+    forEachColumn(IntervalRecord{},
+                  [&](std::string_view name, const auto &) {
+                      os << std::exchange(sep, ",") << name;
+                  });
+    os << '\n';
     for (const IntervalRecord &r : records_) {
-        os << r.trace << ',' << r.index << ',' << r.beginRef << ','
-           << r.endRef << ',' << (r.final ? 1 : 0) << ',' << r.c.refs
-           << ',' << r.c.readRefs << ',' << r.c.writeRefs << ','
-           << r.c.groups << ',' << r.c.cycles << ',' << num(r.cpi())
-           << ',' << num(r.readMissRatio()) << ','
-           << num(r.ifetchMissRatio()) << ','
-           << num(r.writeMissRatio()) << ',' << r.c.ifetchAccesses
-           << ',' << r.c.ifetchMisses << ',' << r.c.readAccesses
-           << ',' << r.c.readMisses << ',' << r.c.writeAccesses
-           << ',' << r.c.writeMisses << ',' << r.c.wbufEnqueued
-           << ',' << r.c.wbufFullStalls << ','
-           << num(r.wbufMeanOccupancy()) << ',' << r.c.tlbAccesses
-           << ',' << r.c.tlbMisses << ',' << r.c.memReads << ','
-           << r.c.memWrites << ',' << r.c.cohInvalidations << ','
-           << r.c.cohUpgrades << ',' << r.c.cohBusBusyCycles << ','
-           << num(r.wallSeconds) << ','
-           << num(r.refsPerSec()) << '\n';
+        sep = "";
+        forEachColumn(r, [&](std::string_view, const auto &v) {
+            os << std::exchange(sep, ",");
+            writeValue(os, v, false);
+        });
+        os << '\n';
     }
 }
 
@@ -260,42 +260,16 @@ IntervalCollector::dumpJson(std::ostream &os) const
 {
     os << '[';
     for (std::size_t i = 0; i < records_.size(); ++i) {
-        const IntervalRecord &r = records_[i];
         if (i)
             os << ',';
-        os << "{\"trace\":\"" << stats::jsonEscape(r.trace)
-           << "\",\"window\":" << r.index
-           << ",\"begin_ref\":" << r.beginRef
-           << ",\"end_ref\":" << r.endRef
-           << ",\"final\":" << (r.final ? "true" : "false")
-           << ",\"refs\":" << r.c.refs
-           << ",\"reads\":" << r.c.readRefs
-           << ",\"writes\":" << r.c.writeRefs
-           << ",\"groups\":" << r.c.groups
-           << ",\"cycles\":" << r.c.cycles
-           << ",\"cpi\":" << num(r.cpi())
-           << ",\"read_miss_ratio\":" << num(r.readMissRatio())
-           << ",\"ifetch_miss_ratio\":" << num(r.ifetchMissRatio())
-           << ",\"write_miss_ratio\":" << num(r.writeMissRatio())
-           << ",\"ifetch_accesses\":" << r.c.ifetchAccesses
-           << ",\"ifetch_misses\":" << r.c.ifetchMisses
-           << ",\"read_accesses\":" << r.c.readAccesses
-           << ",\"read_misses\":" << r.c.readMisses
-           << ",\"write_accesses\":" << r.c.writeAccesses
-           << ",\"write_misses\":" << r.c.writeMisses
-           << ",\"wbuf_enqueued\":" << r.c.wbufEnqueued
-           << ",\"wbuf_full_stalls\":" << r.c.wbufFullStalls
-           << ",\"wbuf_mean_occupancy\":"
-           << num(r.wbufMeanOccupancy())
-           << ",\"tlb_accesses\":" << r.c.tlbAccesses
-           << ",\"tlb_misses\":" << r.c.tlbMisses
-           << ",\"mem_reads\":" << r.c.memReads
-           << ",\"mem_writes\":" << r.c.memWrites
-           << ",\"coh_invalidations\":" << r.c.cohInvalidations
-           << ",\"coh_upgrades\":" << r.c.cohUpgrades
-           << ",\"coh_bus_busy_cycles\":" << r.c.cohBusBusyCycles
-           << ",\"wall_seconds\":" << num(r.wallSeconds)
-           << ",\"refs_per_sec\":" << num(r.refsPerSec()) << '}';
+        char sep = '{';
+        forEachColumn(records_[i],
+                      [&](std::string_view name, const auto &v) {
+                          os << std::exchange(sep, ',') << '"' << name
+                             << "\":";
+                          writeValue(os, v, true);
+                      });
+        os << '}';
     }
     os << ']';
 }

@@ -48,24 +48,23 @@ namespace cachetime
  */
 struct IntervalCounters
 {
-    std::uint64_t refs = 0;     ///< measured references
-    std::uint64_t readRefs = 0; ///< measured loads + ifetches
+    std::uint64_t refs = 0;
+    std::uint64_t readRefs = 0;
     std::uint64_t writeRefs = 0;
-    std::uint64_t groups = 0; ///< measured issue groups
-    std::uint64_t cycles = 0; ///< measured cycles
+    std::uint64_t groups = 0;
+    std::uint64_t cycles = 0;
 
-    std::uint64_t ifetchAccesses = 0; ///< L1I reads (split only)
+    std::uint64_t ifetchAccesses = 0;
     std::uint64_t ifetchMisses = 0;
-    std::uint64_t readAccesses = 0; ///< L1D reads (all L1 reads
-                                    ///< when the L1 is unified)
+    std::uint64_t readAccesses = 0;
     std::uint64_t readMisses = 0;
     std::uint64_t writeAccesses = 0;
     std::uint64_t writeMisses = 0;
 
     std::uint64_t wbufEnqueued = 0;
     std::uint64_t wbufFullStalls = 0;
-    std::uint64_t wbufOccupancyCount = 0; ///< occupancy samples
-    double wbufOccupancySum = 0.0;        ///< sum of those samples
+    std::uint64_t wbufOccupancyCount = 0;
+    double wbufOccupancySum = 0.0;
 
     std::uint64_t tlbAccesses = 0;
     std::uint64_t tlbMisses = 0;
@@ -74,9 +73,54 @@ struct IntervalCounters
     std::uint64_t memWrites = 0;
 
     // Coherent multi-core mode only (zero elsewhere).
-    std::uint64_t cohInvalidations = 0; ///< peer copies invalidated
-    std::uint64_t cohUpgrades = 0;      ///< S->M ownership requests
-    std::uint64_t cohBusBusyCycles = 0; ///< cycles the bus was held
+    std::uint64_t cohInvalidations = 0;
+    std::uint64_t cohUpgrades = 0;
+    std::uint64_t cohBusBusyCycles = 0;
+
+    /**
+     * The field list (stats/fields.hh), in column order; the leaf is
+     * the interval CSV/JSON column name.  The occupancy (count, sum)
+     * pair has no column of its own: the dumps show their quotient,
+     * wbuf_mean_occupancy, in its place.
+     */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using C = IntervalCounters;
+        fn("refs", "measured references", &C::refs);
+        fn("reads", "measured loads + ifetches", &C::readRefs);
+        fn("writes", "measured stores", &C::writeRefs);
+        fn("groups", "measured issue groups", &C::groups);
+        fn("cycles", "measured cycles", &C::cycles);
+        fn("ifetch_accesses", "L1I reads (split L1s only)",
+           &C::ifetchAccesses);
+        fn("ifetch_misses", "L1I read misses", &C::ifetchMisses);
+        fn("read_accesses", "L1D reads (all L1 reads when unified)",
+           &C::readAccesses);
+        fn("read_misses", "L1D read misses", &C::readMisses);
+        fn("write_accesses", "L1 writes", &C::writeAccesses);
+        fn("write_misses", "L1 write misses", &C::writeMisses);
+        fn("wbuf_enqueued", "L1 write-buffer entries accepted",
+           &C::wbufEnqueued);
+        fn("wbuf_full_stalls", "enqueues that found the buffer full",
+           &C::wbufFullStalls);
+        fn("wbuf_occupancy_count", "occupancy samples",
+           &C::wbufOccupancyCount);
+        fn("wbuf_occupancy_sum", "sum of the occupancy samples",
+           &C::wbufOccupancySum);
+        fn("tlb_accesses", "translations", &C::tlbAccesses);
+        fn("tlb_misses", "TLB misses", &C::tlbMisses);
+        fn("mem_reads", "main-memory read operations", &C::memReads);
+        fn("mem_writes", "main-memory write operations",
+           &C::memWrites);
+        fn("coh_invalidations", "peer copies invalidated",
+           &C::cohInvalidations);
+        fn("coh_upgrades", "shared-to-modified ownership requests",
+           &C::cohUpgrades);
+        fn("coh_bus_busy_cycles", "total cycles the bus was held",
+           &C::cohBusBusyCycles);
+    }
 
     /** @return *this - @p base, field-wise (cumulative -> window). */
     IntervalCounters minus(const IntervalCounters &base) const;

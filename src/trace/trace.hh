@@ -11,8 +11,8 @@
  * Sampled traces additionally carry *warm segments*: index ranges
  * after the warm-start boundary whose references are issued (they
  * advance the clock and update cache state) but are excluded from
- * every measured counter.  trace/sampling.cc uses them to discard
- * each sampling window's warm-up, not just the first one's.
+ * every measured counter.  The SMARTS engine (core/smarts.hh)
+ * carries the gaps between its measurement units as warm segments.
  */
 
 #ifndef CACHETIME_TRACE_TRACE_HH

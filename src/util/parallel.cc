@@ -111,12 +111,21 @@ class ThreadPool
         return hw == 0 ? 1 : hw;
     }
 
+    /**
+     * Called with submitMutex_ held (or from the constructor), so no
+     * run() is in flight: new workers start from the current
+     * generation and wait for the next one.  A worker that started
+     * from zero would take an already finished generation for new
+     * work and decrement pending_ for a run it never joined.
+     */
     void
     startWorkers()
     {
         stop_ = false;
+        std::uint64_t seen = generation_;
         for (unsigned i = 1; i < threads_; ++i)
-            workers_.emplace_back([this, i] { workerLoop(i); });
+            workers_.emplace_back(
+                [this, i, seen] { workerLoop(i, seen); });
     }
 
     void
@@ -133,14 +142,13 @@ class ThreadPool
     }
 
     void
-    workerLoop(unsigned index)
+    workerLoop(unsigned index, std::uint64_t seen)
     {
         isPoolWorker = true;
         // Name the worker's span track up front so a trace session
         // opened at any later point labels it correctly.
         trace_event::setThreadName("pool-worker-" +
                                    std::to_string(index));
-        std::uint64_t seen = 0;
         std::unique_lock<std::mutex> lock(mutex_);
         for (;;) {
             wake_.wait(lock, [this, seen] {

@@ -130,6 +130,36 @@ TEST(Parallel, ExceptionsPropagateToCaller)
     EXPECT_EQ(out[9], 9);
 }
 
+TEST(Parallel, ResizeBetweenRunsNeverHangs)
+{
+    // Workers started by a resize must join only the runs submitted
+    // after it.  A worker that mistook the last finished run for new
+    // work decremented the run counter for a run it never joined,
+    // which left the next parallelFor waiting forever (ctest's
+    // TIMEOUT turns that into a failure).  ThreadSanitizer makes
+    // thread creation slow, so its build runs fewer cycles.
+#if defined(__SANITIZE_THREAD__)
+    constexpr int kCycles = 2000;
+#else
+    constexpr int kCycles = 30000;
+#endif
+    ParallelGuard guard;
+    std::vector<std::atomic<int>> visits(64);
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+        setParallelThreads(cycle % 2 ? 8 : 2);
+        for (int run = 0; run < 3; ++run) {
+            for (auto &v : visits)
+                v.store(0, std::memory_order_relaxed);
+            parallelFor(visits.size(), [&](std::size_t i) {
+                visits[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (std::size_t i = 0; i < visits.size(); ++i)
+                ASSERT_EQ(visits[i].load(), 1)
+                    << "cycle " << cycle << " index " << i;
+        }
+    }
+}
+
 /// Fig 3/4-shaped mini-grid: a size x cycle-time sweep aggregated
 /// with runGeoMeanMany, exactly the shape the figure benches use.
 std::vector<AggregateMetrics>

@@ -15,7 +15,6 @@
 #include "sim/system.hh"
 #include "trace/interleave.hh"
 #include "trace/ref_source.hh"
-#include "trace/sampling.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 #include "util/rng.hh"
@@ -265,13 +264,16 @@ TEST(RefSource, WarmSegmentsExcludedFromCounters)
 
 TEST(RefSource, SampledTraceAgreesWithOracle)
 {
-    Trace trace = generate(table1Workloads()[2], 0.01);
-    SamplingConfig sampling;
-    sampling.periodRefs = 4000;
-    sampling.windowRefs = 1000;
-    sampling.windowWarmupRefs = 200;
-    Trace sampled = sampleTime(trace, sampling);
-    ASSERT_GT(sampled.warmSegments().size(), 0u);
+    // Periodic warm segments, the layout a sampler leaves behind:
+    // the first 200 refs of every 1000-ref window after the warm
+    // start are issued but excluded from every measured counter.
+    Trace sampled = generate(table1Workloads()[2], 0.01);
+    std::vector<WarmSegment> segments;
+    for (std::size_t at = sampled.warmStart() + 1000;
+         at + 200 <= sampled.size(); at += 1000)
+        segments.push_back({at, at + 200});
+    ASSERT_GT(segments.size(), 0u);
+    sampled.setWarmSegments(std::move(segments));
 
     SystemConfig config = SystemConfig::paperDefault();
     System system(config);
