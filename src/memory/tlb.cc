@@ -1,5 +1,9 @@
 #include "memory/tlb.hh"
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "stats/stats.hh"
 #include "trace_debug/trace_debug.hh"
 #include "util/logging.hh"
@@ -38,7 +42,15 @@ Tlb::Tlb(const TlbConfig &config) : config_(config)
 {
     config_.validate();
     numSets_ = config_.entries / config_.assoc;
+    pageShift_ = ilog2(config_.pageWords);
+    pageMask_ = config_.pageWords - 1;
     entries_.resize(config_.entries);
+    // Any in-range start is safe: translate() verifies a hinted
+    // entry's key before using it.
+    const std::uint64_t slots =
+        std::uint64_t{config_.entries} * kHintsPerEntry;
+    hint_.assign(slots, 0);
+    hintShift_ = 64 - ilog2(slots);
 }
 
 std::uint64_t
@@ -56,21 +68,20 @@ Tlb::frameOf(std::uint64_t vpage, Pid pid) const
 }
 
 Tlb::Translation
-Tlb::translate(Addr vaddr, Pid pid)
+Tlb::translateSlow(std::uint64_t vpage, Addr offset, Pid pid)
 {
-    ++seq_;
-    ++stats_.accesses;
-    std::uint64_t vpage = vaddr / config_.pageWords;
-    Addr offset = vaddr % config_.pageWords;
     std::uint64_t set = vpage & (numSets_ - 1);
-    Entry *ways = &entries_[set * config_.assoc];
+    const std::size_t base = set * config_.assoc;
+    Entry *ways = &entries_[base];
+    std::uint32_t &hint = hint_[hintSlot(vpage, pid)];
 
     for (unsigned w = 0; w < config_.assoc; ++w) {
         Entry &entry = ways[w];
         if (entry.valid && entry.vpage == vpage &&
             entry.pid == pid) {
             entry.lastUse = seq_;
-            return {entry.frame * config_.pageWords + offset, true};
+            hint = static_cast<std::uint32_t>(base + w);
+            return {(entry.frame << pageShift_) | offset, true};
         }
     }
 
@@ -80,21 +91,23 @@ Tlb::translate(Addr vaddr, Pid pid)
                           "tlb miss vpage=%llx pid=%u",
                           static_cast<unsigned long long>(vpage),
                           static_cast<unsigned>(pid));
-    Entry *victim = &ways[0];
+    unsigned victim = 0;
     for (unsigned w = 0; w < config_.assoc; ++w) {
         if (!ways[w].valid) {
-            victim = &ways[w];
+            victim = w;
             break;
         }
-        if (ways[w].lastUse < victim->lastUse)
-            victim = &ways[w];
+        if (ways[w].lastUse < ways[victim].lastUse)
+            victim = w;
     }
-    victim->valid = true;
-    victim->vpage = vpage;
-    victim->pid = pid;
-    victim->frame = frameOf(vpage, pid);
-    victim->lastUse = seq_;
-    return {victim->frame * config_.pageWords + offset, false};
+    Entry &entry = ways[victim];
+    entry.valid = true;
+    entry.vpage = vpage;
+    entry.pid = pid;
+    entry.frame = frameOf(vpage, pid);
+    entry.lastUse = seq_;
+    hint = static_cast<std::uint32_t>(base + victim);
+    return {(entry.frame << pageShift_) | offset, false};
 }
 
 void
@@ -129,17 +142,47 @@ Tlb::loadState(StateReader &r)
         fatal("tlb: checkpoint has %llu entries, this TLB has %zu "
               "(config mismatch)",
               static_cast<unsigned long long>(n), entries_.size());
-    for (Entry &entry : entries_) {
+    // Every entry must sit where translate() can find it, at most
+    // once: a duplicate (vpage, pid) would make the hint and the set
+    // scan pick different ways.
+    std::vector<std::pair<std::uint64_t, Pid>> keys;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        Entry &entry = entries_[i];
         entry.valid = r.b();
         if (!entry.valid) {
             entry = Entry{};
             continue;
         }
         entry.vpage = r.u64();
-        entry.pid = static_cast<Pid>(r.u64());
+        std::uint64_t pid = r.u64();
         entry.frame = r.u64();
         entry.lastUse = r.u64();
+        if (pid > std::numeric_limits<Pid>::max())
+            fatal("tlb: checkpoint entry %zu has pid %llu, wider "
+                  "than 16 bits",
+                  i, static_cast<unsigned long long>(pid));
+        entry.pid = static_cast<Pid>(pid);
+        const std::uint64_t set = i / config_.assoc;
+        if ((entry.vpage & (numSets_ - 1)) != set)
+            fatal("tlb: checkpoint entry %zu holds vpage %llx in set "
+                  "%llu; it maps to set %llu",
+                  i, static_cast<unsigned long long>(entry.vpage),
+                  static_cast<unsigned long long>(set),
+                  static_cast<unsigned long long>(entry.vpage &
+                                                  (numSets_ - 1)));
+        if (entry.frame >= config_.physFrames)
+            fatal("tlb: checkpoint entry %zu has frame %llu; "
+                  "physFrames is %llu",
+                  i, static_cast<unsigned long long>(entry.frame),
+                  static_cast<unsigned long long>(config_.physFrames));
+        keys.emplace_back(entry.vpage, entry.pid);
     }
+    std::sort(keys.begin(), keys.end());
+    auto dup = std::adjacent_find(keys.begin(), keys.end());
+    if (dup != keys.end())
+        fatal("tlb: checkpoint holds vpage %llx pid %u in two ways",
+              static_cast<unsigned long long>(dup->first),
+              static_cast<unsigned>(dup->second));
 }
 
 } // namespace cachetime

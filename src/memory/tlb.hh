@@ -21,6 +21,7 @@
 #ifndef CACHETIME_MEMORY_TLB_HH
 #define CACHETIME_MEMORY_TLB_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,6 +90,15 @@ struct TlbStats
 /**
  * A set-associative TLB with LRU replacement over a deterministic
  * frame map.
+ *
+ * A hit costs one hashed load and one tag compare: a small
+ * direct-mapped hint array, keyed by a mix of (vpage, pid), names the
+ * way that last held the key.  The hint is only an accelerator - the
+ * named entry must match valid, vpage and pid, and any other case
+ * falls back to the set scan, which rewrites the hint.  A verified
+ * hint names the way the scan would find because a (vpage, pid) sits
+ * in at most one way of the one set its vpage maps to: refills happen
+ * only on a miss, and loadState() rejects checkpoints that break it.
  */
 class Tlb
 {
@@ -106,7 +116,7 @@ class Tlb
      * Translate a virtual word address.  Misses refill the TLB (the
      * caller charges config().missPenaltyCycles).
      */
-    Translation translate(Addr vaddr, Pid pid);
+    inline Translation translate(Addr vaddr, Pid pid);
 
     /**
      * @return the physical frame backing (pid, vpage) - the OS
@@ -137,12 +147,50 @@ class Tlb
         std::uint64_t lastUse = 0;
     };
 
+    /** Hint slots per entry: keeps key collisions in the hint rare. */
+    static constexpr unsigned kHintsPerEntry = 4;
+
+    /** @return the hint slot of (vpage, pid). */
+    std::size_t
+    hintSlot(std::uint64_t vpage, Pid pid) const
+    {
+        const std::uint64_t key =
+            vpage ^ (static_cast<std::uint64_t>(pid) << 48);
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ULL) >> hintShift_);
+    }
+
+    /** The set scan and LRU refill behind a hint miss. */
+    Translation translateSlow(std::uint64_t vpage, Addr offset,
+                              Pid pid);
+
     TlbConfig config_;
     std::uint64_t numSets_;
+    unsigned pageShift_;         ///< log2(pageWords)
+    Addr pageMask_;              ///< pageWords - 1
     std::vector<Entry> entries_; ///< numSets x assoc
+    /** Entry index per hint slot; unverified, never checkpointed. */
+    std::vector<std::uint32_t> hint_;
+    unsigned hintShift_;         ///< 64 - log2(hint_.size())
     std::uint64_t seq_ = 0;
     TlbStats stats_;
 };
+
+inline Tlb::Translation
+Tlb::translate(Addr vaddr, Pid pid)
+{
+    ++seq_;
+    ++stats_.accesses;
+    const std::uint64_t vpage = vaddr >> pageShift_;
+    const Addr offset = vaddr & pageMask_;
+    Entry &entry = entries_[hint_[hintSlot(vpage, pid)]];
+    if (entry.valid && entry.vpage == vpage && entry.pid == pid)
+        [[likely]] {
+        entry.lastUse = seq_;
+        return {(entry.frame << pageShift_) | offset, true};
+    }
+    return translateSlow(vpage, offset, pid);
+}
 
 } // namespace cachetime
 

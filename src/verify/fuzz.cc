@@ -144,7 +144,7 @@ randomConfig(Rng &rng)
     if (rng.chance(0.25)) {
         config.addressing = AddressMode::Physical;
         config.tlb.entries =
-            static_cast<unsigned>(pow2Between(rng, 1, 3));
+            static_cast<unsigned>(pow2Between(rng, 1, 6));
         config.tlb.assoc = static_cast<unsigned>(
             pow2Between(rng, 0, log2Of(config.tlb.entries)));
         config.tlb.pageWords = pow2Between(rng, 3, 6);
