@@ -5,6 +5,8 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <tuple>
+#include <unordered_map>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
@@ -55,6 +57,29 @@ struct LayerKey
 };
 
 /**
+ * Direct-mapped probe keys fuse the block address and the pid as
+ * (block << kPidBits) | pid, which is exact while the block address
+ * is below kFusedLimit.  Every fused key is then below 2^63, so the
+ * two sentinels can never equal one: kInvalidKey marks an empty set,
+ * kWideKey a set holding a block at or above the limit, whose exact
+ * tag sits in the layer's `wide` map (the same layout the production
+ * cache uses for its kTagLimit/kWideKey lines).
+ */
+constexpr unsigned kPidBits = 16;
+constexpr Addr kFusedLimit = Addr{1} << (63 - kPidBits);
+constexpr std::uint64_t kInvalidKey = ~std::uint64_t{0};
+constexpr std::uint64_t kWideKey = ~std::uint64_t{0} - 1;
+
+/** Exact tag of a direct-mapped set holding a too-wide block. */
+struct WideTag
+{
+    Addr block = 0;
+    Pid pid = 0;
+
+    bool operator==(const WideTag &) const = default;
+};
+
+/**
  * Per-set master lists + reuse histograms for one layer (or, in the
  * sharded pass, for one shard's slice of one layer).
  *
@@ -83,19 +108,21 @@ struct Layer
 
     /**
      * Direct-mapped (maxA == 1) layers - the whole paper-default
-     * grid - skip the master lists: one fused (block, pid) tag per
-     * set plus a validity bitmap, probed inline by the driver.  The
-     * fusion (block << 16 | pid) is exact for block addresses below
-     * 2^48, mirroring the production cache's own fused-key layout.
+     * grid - skip the master lists: one fused probe key per set
+     * (kInvalidKey when empty), walked by the chain kernel
+     * (DirectChain), with the cold exact tags of wide blocks in
+     * `wide`, keyed by slice set index.
      */
     std::vector<std::uint64_t> tags;
-    std::vector<std::uint64_t> validBits;
+    std::unordered_map<std::uint64_t, WideTag> wide;
 
     /**
      * Reuse-level histograms, indexed by k = a-star at access time
      * (maxA+1 = absent): an access hits exactly the levels >= k, so
      * misses(A) is the histogram mass above A.  Only measured
-     * accesses are recorded; state always advances.
+     * accesses are recorded; state always advances.  Direct-mapped
+     * layers get theirs folded from the chain histograms after the
+     * pass (foldChains).
      */
     std::vector<std::uint64_t> histRead;
     std::vector<std::uint64_t> histWrite;
@@ -129,8 +156,7 @@ struct Layer
         lowMask = (std::uint64_t{1} << shard_pos) - 1;
         const std::uint64_t local_sets = key.sets >> shard_bits;
         if (maxA == 1) {
-            tags.assign(local_sets, 0);
-            validBits.assign(local_sets / 64 + 1, 0);
+            tags.assign(local_sets, kInvalidKey);
         } else {
             slots.resize(local_sets * maxA);
             len.assign(local_sets, 0);
@@ -248,75 +274,134 @@ struct RolePlan
     unsigned assoc = 0;
 };
 
-/**
- * Flat probe view of a direct-mapped layer, walked by the inner
- * loop without indirection; deeper layers keep the master lists.
- */
+/** One direct-mapped layer as the chain walk sees it. */
 struct DirectView
 {
+    std::uint64_t setMask; ///< slice set count - 1
+    std::uint64_t *tags;
+    Layer *layer;          ///< wide tags and the post-pass fold
+};
+
+/**
+ * The direct-mapped layers of one role that share block size, tag
+ * regime and allocation policy, in ascending set count.  By
+ * set-refinement inclusion (stack_sim.hh) a block resident in one
+ * of them is resident in every later one, so a reference walks the
+ * chain from the smallest layer, allocating where allowed, and stops
+ * at its first hit.  hist[h] counts the measured references whose
+ * first hit was view begin + h; h = end - begin means no layer hit.
+ */
+struct DirectChain
+{
     unsigned blockShift;
-    std::uint64_t setMask;
     std::uint64_t pidMask;
     bool noWriteAllocate;
     unsigned shardBits;
-    std::uint64_t lowMask;
-    std::uint64_t *tags;
-    std::uint64_t *valid;
-    std::uint64_t *histRead;
-    std::uint64_t *histWrite;
+    std::uint64_t lowMask; ///< block bits below the shard bits
+    std::uint32_t begin;   ///< first view index
+    std::uint32_t end;     ///< one past the last view index
+    std::vector<std::uint64_t> histRead;
+    std::vector<std::uint64_t> histWrite;
+};
+
+/** One role's layers: direct-mapped chains and deep master lists. */
+struct RoleViews
+{
+    std::vector<DirectView> direct;
+    std::vector<DirectChain> chains;
+    std::vector<Layer *> deep;
 };
 
 /** The routed layer views of one pass (or of one shard's slice). */
 struct LayerViews
 {
-    std::vector<DirectView> directIfetch, directData;
-    std::vector<Layer *> deepIfetch, deepData;
+    RoleViews ifetch, data;
+    bool split = false;
+
+    /** A unified L1 serves ifetches from the data-side state. */
+    RoleViews &
+    role(bool iside)
+    {
+        return iside && split ? ifetch : data;
+    }
 };
 
-/**
- * Build the probe views over @p layers.  Views sharing
- * blockShift/pidMask are adjacent so the (block, fused tag)
- * computation amortizes across them; a unified L1 serves ifetches
- * from the data-side state.
- */
+/** Build the chains and deep views over finalized @p layers. */
 LayerViews
 buildViews(std::vector<Layer> &layers, bool split)
 {
-    auto viewOf = [](Layer &layer) {
-        return DirectView{layer.blockShift,
-                          layer.setMask,
-                          layer.pidMask,
-                          layer.noWriteAllocate,
-                          layer.shardBits,
-                          layer.lowMask,
-                          layer.tags.data(),
-                          layer.validBits.data(),
-                          layer.histRead.data(),
-                          layer.histWrite.data()};
-    };
     LayerViews views;
+    views.split = split;
+    std::array<std::vector<Layer *>, 2> direct; // [iside]
     for (Layer &layer : layers) {
         if (layer.maxA == 1)
-            (layer.key.iside ? views.directIfetch : views.directData)
-                .push_back(viewOf(layer));
+            direct[layer.key.iside].push_back(&layer);
         else
-            (layer.key.iside ? views.deepIfetch : views.deepData)
-                .push_back(&layer);
+            (layer.key.iside ? views.ifetch : views.data)
+                .deep.push_back(&layer);
     }
-    auto byShape = [](const DirectView &a, const DirectView &b) {
-        return a.blockShift != b.blockShift
-                   ? a.blockShift < b.blockShift
-                   : a.pidMask < b.pidMask;
+    auto chainOf = [](const Layer *layer) {
+        return std::tuple(layer->key.blockShift, layer->key.pidInTag,
+                          layer->key.alloc);
     };
-    std::sort(views.directIfetch.begin(), views.directIfetch.end(),
-              byShape);
-    std::sort(views.directData.begin(), views.directData.end(),
-              byShape);
-    if (!split) { // unified: ifetches share the L1 state
-        views.directIfetch = views.directData;
-        views.deepIfetch = views.deepData;
+    for (bool iside : {false, true}) {
+        std::vector<Layer *> &members = direct[iside];
+        std::sort(members.begin(), members.end(),
+                  [&](const Layer *a, const Layer *b) {
+                      return std::tuple(chainOf(a), a->key.sets) <
+                             std::tuple(chainOf(b), b->key.sets);
+                  });
+        RoleViews &role = iside ? views.ifetch : views.data;
+        for (std::uint32_t v = 0; v < members.size(); ++v) {
+            Layer &layer = *members[v];
+            if (v == 0 || chainOf(members[v - 1]) != chainOf(&layer))
+                role.chains.push_back({layer.blockShift,
+                                       layer.pidMask,
+                                       layer.noWriteAllocate,
+                                       layer.shardBits,
+                                       layer.lowMask,
+                                       v,
+                                       v,
+                                       {},
+                                       {}});
+            role.direct.push_back(
+                {(layer.key.sets >> layer.shardBits) - 1,
+                 layer.tags.data(), &layer});
+            ++role.chains.back().end;
+        }
+        for (DirectChain &chain : role.chains) {
+            chain.histRead.assign(chain.end - chain.begin + 1, 0);
+            chain.histWrite.assign(chain.end - chain.begin + 1, 0);
+        }
     }
     return views;
+}
+
+/**
+ * The chain walk for a block at or above kFusedLimit: the same walk
+ * as touchViews' fused loop, with exact (block, pid) compares
+ * through each layer's wide map.  @return the first hit's view
+ * index, chain.end if none.
+ */
+std::uint32_t
+walkWide(const DirectChain &chain, const std::vector<DirectView> &direct,
+         Addr block, std::uint64_t local, Pid pid, bool allocate)
+{
+    const WideTag tag{block, static_cast<Pid>(pid & chain.pidMask)};
+    std::uint32_t v = chain.begin;
+    for (; v < chain.end; ++v) {
+        const DirectView &view = direct[v];
+        const std::uint64_t set = local & view.setMask;
+        std::unordered_map<std::uint64_t, WideTag> &wide =
+            view.layer->wide;
+        if (view.tags[set] == kWideKey && wide.at(set) == tag)
+            break;
+        if (allocate) {
+            view.tags[set] = kWideKey;
+            wide[set] = tag;
+        }
+    }
+    return v;
 }
 
 /**
@@ -327,38 +412,76 @@ buildViews(std::vector<Layer> &layers, bool split)
  */
 template <bool Sharded>
 void
-touchViews(const std::vector<DirectView> &direct,
-           const std::vector<Layer *> &deep, Addr addr, Pid pid,
-           bool write, std::uint64_t measured)
+touchViews(RoleViews &role, Addr addr, Pid pid, bool write,
+           std::uint64_t measured)
 {
-    unsigned prev_shift = ~0u;
-    std::uint64_t prev_pid_mask = ~std::uint64_t{0};
-    Addr block = 0;
-    std::uint64_t fused = 0;
-    for (const DirectView &view : direct) {
-        if (view.blockShift != prev_shift ||
-            view.pidMask != prev_pid_mask) [[unlikely]] {
-            prev_shift = view.blockShift;
-            prev_pid_mask = view.pidMask;
-            block = addr >> view.blockShift;
-            fused = (block << 16) | (pid & view.pidMask);
-        }
-        std::uint64_t set = block & view.setMask;
+    for (DirectChain &chain : role.chains) {
+        const Addr block = addr >> chain.blockShift;
+        // Deleting the shard bits from the block address compacts
+        // every set index of the chain at once (Layer::localSet).
+        std::uint64_t local = block;
         if constexpr (Sharded)
-            set = ((set >> view.shardBits) & ~view.lowMask) |
-                  (set & view.lowMask);
-        std::uint64_t &word = view.valid[set >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (set & 63);
-        const bool hit = (word & bit) && view.tags[set] == fused;
-        (write ? view.histWrite
-               : view.histRead)[hit ? 1 : 2] += measured;
-        if (write && view.noWriteAllocate)
-            continue; // hit reorders nothing at A=1; miss: no-op
-        view.tags[set] = fused;
-        word |= bit;
+            local = ((block >> chain.shardBits) & ~chain.lowMask) |
+                    (block & chain.lowMask);
+        // A no-write-allocate store changes no direct-mapped state:
+        // a hit reorders nothing at A = 1, a miss allocates nothing.
+        const bool allocate = !(write && chain.noWriteAllocate);
+        std::uint32_t v = chain.begin;
+        if (block < kFusedLimit) [[likely]] {
+            const std::uint64_t key =
+                (block << kPidBits) | (pid & chain.pidMask);
+            for (; v < chain.end; ++v) {
+                std::uint64_t &slot =
+                    role.direct[v].tags[local & role.direct[v].setMask];
+                if (slot == key)
+                    break;
+                if (allocate)
+                    slot = key;
+            }
+        } else {
+            v = walkWide(chain, role.direct, block, local, pid,
+                         allocate);
+        }
+        (write ? chain.histWrite : chain.histRead)[v - chain.begin] +=
+            measured;
     }
-    for (Layer *layer : deep)
+    for (Layer *layer : role.deep)
         layer->touch(addr, pid, write, measured != 0);
+}
+
+/**
+ * Spread @p chain's first-hit histograms onto its layers' reuse
+ * histograms: the layer at view v hits exactly the references whose
+ * first hit came at or before v.
+ */
+void
+foldChain(const DirectChain &chain, const RoleViews &role)
+{
+    for (bool write : {false, true}) {
+        const std::vector<std::uint64_t> &first =
+            write ? chain.histWrite : chain.histRead;
+        std::uint64_t total = 0;
+        for (std::uint64_t count : first)
+            total += count;
+        std::uint64_t hits = 0;
+        for (std::uint32_t v = chain.begin; v < chain.end; ++v) {
+            Layer &layer = *role.direct[v].layer;
+            std::vector<std::uint64_t> &hist =
+                write ? layer.histWrite : layer.histRead;
+            hits += first[v - chain.begin];
+            hist[1] = hits;
+            hist[2] = total - hits;
+        }
+    }
+}
+
+/** Fold every chain of a pass (or shard) once, after its last ref. */
+void
+foldChains(const LayerViews &views)
+{
+    for (const RoleViews *role : {&views.ifetch, &views.data})
+        for (const DirectChain &chain : role->chains)
+            foldChain(chain, *role);
 }
 
 /** Measured access totals of one pass (role-global, by class). */
@@ -548,6 +671,56 @@ shardPlanOf(const std::vector<Layer> &layers)
     return plan;
 }
 
+/**
+ * Every config's L1 roles mapped onto shared layers: what
+ * runStackSweep() simulates and stackShardBits() reports on.
+ */
+struct LatticePlan
+{
+    std::vector<Layer> layers; ///< keyed, not yet finalized
+    std::vector<RolePlan> iPlan, dPlan;
+};
+
+LatticePlan
+planLattice(const std::vector<SystemConfig> &configs)
+{
+    LatticePlan plan;
+    std::vector<Layer> &layers = plan.layers;
+    auto layerFor = [&](const LayerKey &key, unsigned assoc) {
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+            if (layers[l].key == key) {
+                layers[l].maxA = std::max(layers[l].maxA, assoc);
+                return l;
+            }
+        }
+        layers.emplace_back();
+        layers.back().key = key;
+        layers.back().maxA = assoc;
+        return layers.size() - 1;
+    };
+
+    plan.iPlan.resize(configs.size());
+    plan.dPlan.resize(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const SystemConfig &config = configs[c];
+        if (config.split) {
+            const CacheConfig &ic = config.icache;
+            plan.iPlan[c] = {layerFor({true, log2u(ic.blockWords),
+                                       ic.numSets(), ic.virtualTags,
+                                       AllocPolicy::NoWriteAllocate},
+                                      ic.assoc),
+                             ic.assoc};
+        }
+        const CacheConfig &dc = config.dcache;
+        plan.dPlan[c] = {layerFor({false, log2u(dc.blockWords),
+                                   dc.numSets(), dc.virtualTags,
+                                   dc.allocPolicy},
+                                  dc.assoc),
+                         dc.assoc};
+    }
+    return plan;
+}
+
 // Router meta word: pid in the low 16 bits, then three flags.
 constexpr std::uint32_t kRouteWrite = 1u << 16;
 constexpr std::uint32_t kRouteIside = 1u << 17;
@@ -582,21 +755,7 @@ stackEligible(const SystemConfig &config)
 unsigned
 stackShardBits(const std::vector<SystemConfig> &configs)
 {
-    unsigned low = 0;
-    unsigned high = ~0u;
-    bool any = false;
-    auto fold = [&](const CacheConfig &cache) {
-        const unsigned block_shift = log2u(cache.blockWords);
-        low = std::max(low, block_shift);
-        high = std::min(high, block_shift + log2u(cache.numSets()));
-        any = true;
-    };
-    for (const SystemConfig &config : configs) {
-        if (config.split)
-            fold(config.icache);
-        fold(config.dcache);
-    }
-    return (any && high > low) ? high - low : 0;
+    return shardPlanOf(planLattice(configs).layers).bits;
 }
 
 std::vector<SimResult>
@@ -617,40 +776,8 @@ runStackSweep(const std::vector<SystemConfig> &configs,
             fatal("runStackSweep: configs mix issue shapes");
     }
 
-    // Plan: map each config's L1(s) onto shared layers.
-    std::vector<Layer> layers;
-    auto layerFor = [&](const LayerKey &key, unsigned assoc) {
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-            if (layers[l].key == key) {
-                layers[l].maxA = std::max(layers[l].maxA, assoc);
-                return l;
-            }
-        }
-        layers.emplace_back();
-        layers.back().key = key;
-        layers.back().maxA = assoc;
-        return layers.size() - 1;
-    };
-
-    std::vector<RolePlan> iPlan(configs.size());
-    std::vector<RolePlan> dPlan(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        const SystemConfig &config = configs[c];
-        if (split) {
-            const CacheConfig &ic = config.icache;
-            iPlan[c] = {layerFor({true, log2u(ic.blockWords),
-                                  ic.numSets(), ic.virtualTags,
-                                  AllocPolicy::NoWriteAllocate},
-                                 ic.assoc),
-                        ic.assoc};
-        }
-        const CacheConfig &dc = config.dcache;
-        dPlan[c] = {layerFor({false, log2u(dc.blockWords),
-                              dc.numSets(), dc.virtualTags,
-                              dc.allocPolicy},
-                             dc.assoc),
-                    dc.assoc};
-    }
+    LatticePlan lattice = planLattice(configs);
+    std::vector<Layer> &layers = lattice.layers;
 
     // Shard only when the pool can host the workers (a sweep already
     // running inside a pool task would serialize anyway) and the
@@ -677,17 +804,13 @@ runStackSweep(const std::vector<SystemConfig> &configs,
             source, pair,
             [&](const Ref &ref, bool iside, bool write,
                 std::uint64_t measured) {
-                if (iside)
-                    touchViews<false>(views.directIfetch,
-                                      views.deepIfetch, ref.addr,
-                                      ref.pid, false, measured);
-                else
-                    touchViews<false>(views.directData,
-                                      views.deepData, ref.addr,
-                                      ref.pid, write, measured);
+                touchViews<false>(views.role(iside), ref.addr, ref.pid,
+                                  write, measured);
             });
+        foldChains(views);
         fillCommon(out, configs, source.name(), split, counts);
-        addMissCounters(out, split, iPlan, dPlan, layers);
+        addMissCounters(out, split, lattice.iPlan, lattice.dPlan,
+                        layers);
         return out;
     }
 
@@ -727,14 +850,8 @@ runStackSweep(const std::vector<SystemConfig> &configs,
             const bool write = rr.meta & kRouteWrite;
             const std::uint64_t measured =
                 rr.meta >> kRouteMeasuredShift;
-            if (rr.meta & kRouteIside)
-                touchViews<true>(shard.views.directIfetch,
-                                 shard.views.deepIfetch, rr.addr,
-                                 pid, false, measured);
-            else
-                touchViews<true>(shard.views.directData,
-                                 shard.views.deepData, rr.addr, pid,
-                                 write, measured);
+            touchViews<true>(shard.views.role(rr.meta & kRouteIside),
+                             rr.addr, pid, write, measured);
         }
         shard.buf.clear();
     };
@@ -767,8 +884,11 @@ runStackSweep(const std::vector<SystemConfig> &configs,
     flush();
 
     fillCommon(out, configs, source.name(), split, counts);
-    for (const Shard &shard : shards)
-        addMissCounters(out, split, iPlan, dPlan, shard.layers);
+    for (Shard &shard : shards) {
+        foldChains(shard.views);
+        addMissCounters(out, split, lattice.iPlan, lattice.dPlan,
+                        shard.layers);
+    }
     return out;
 }
 

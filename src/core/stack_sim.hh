@@ -41,6 +41,26 @@
  * different set counts, block sizes or tag regimes run side by side
  * in the same pass, sharing only the decoded reference stream.
  *
+ * Direct-mapped layers need no lists, and across set counts they
+ * obey a second inclusion, by set refinement.  Take two such layers
+ * of one role with equal block size, tag regime and allocation
+ * policy, with S and 2S sets.  Every block mapping to a set s' of the
+ * 2S-set cache maps to set s' mod S of the S-set cache, so the
+ * allocating references to s' are a subsequence of those to s' mod S.
+ * A block B resident in the S-set cache was the last allocating
+ * reference to its set; that reference also went to B's 2S-set, and
+ * any later allocating reference there would have been a later one
+ * to the S-set too - so B is resident in the 2S-set cache as well.
+ * No-write-allocate store misses allocate nothing in either cache
+ * and a direct-mapped hit changes no state, so the argument holds
+ * under both allocation policies.  The kernel therefore orders each
+ * such family into a chain by set count and walks every reference
+ * up it from the smallest layer, allocating on each miss (unless
+ * the reference is a no-write-allocate store) and stopping at the
+ * first hit, since every larger layer hits and keeps its state.
+ * One histogram per chain records the index of the first hit; each
+ * layer's hit and miss counts are folded from it after the pass.
+ *
  * Eligibility (stackEligible): virtually-addressed machines with
  * demand fetching of whole blocks, no victim buffer, and LRU
  * replacement (or direct-mapped, where every policy coincides) -

@@ -6,6 +6,7 @@
 #include <functional>
 #include <sstream>
 
+#include "core/stack_sim.hh"
 #include "sim/coherent.hh"
 #include "sim/system.hh"
 #include "stats/progress.hh"
@@ -256,8 +257,85 @@ randomTrace(Rng &rng, std::uint64_t seed, bool sharing)
 
     std::size_t warm =
         rng.chance(0.6) ? 0 : rng.below(refs.size());
+
+    // A fifth of the streams move a quarter of each pid's references
+    // to a per-pid base at or above 2^60, so every tag compare sees
+    // addresses that differ only in their top bits.
+    if (rng.chance(0.2)) {
+        std::vector<Addr> high(pids);
+        for (Addr &base : high)
+            base = (1 + rng.below(15)) << 60;
+        for (Ref &ref : refs) {
+            if (rng.chance(0.25))
+                ref.addr += high[ref.pid];
+        }
+    }
     return Trace("fuzz-" + std::to_string(seed), std::move(refs),
                  warm);
+}
+
+/**
+ * The stack kernel's lattice for @p config: the config itself plus
+ * its half- and double-size siblings (both L1s scaled together), so
+ * the config's own layers sit inside chains and deep stacks of more
+ * than one set count.
+ */
+std::vector<SystemConfig>
+stackLattice(const SystemConfig &config)
+{
+    std::vector<SystemConfig> lattice{config};
+    auto scaled = [&](bool grow) {
+        SystemConfig sibling = config;
+        for (CacheConfig *cache : {&sibling.icache, &sibling.dcache}) {
+            if (grow)
+                cache->sizeWords *= 2;
+            else
+                cache->sizeWords /= 2;
+        }
+        return sibling;
+    };
+    const SystemConfig half = scaled(false);
+    auto fits = [](const CacheConfig &cache) {
+        return cache.sizeWords >=
+               std::uint64_t{cache.blockWords} * cache.assoc;
+    };
+    if (fits(half.dcache) && (!half.split || fits(half.icache)))
+        lattice.push_back(half);
+    lattice.push_back(scaled(true));
+    return lattice;
+}
+
+/**
+ * Append a diff, prefixed "stack.", for every counter runStackSweep
+ * claims exact on which @p stack and @p oracle disagree.
+ */
+void
+diffStackCounters(const SimResult &stack, const SimResult &oracle,
+                  std::vector<FieldDiff> &diffs)
+{
+    auto check = [&](const char *field, std::uint64_t got,
+                     std::uint64_t want) {
+        if (got != want)
+            diffs.push_back({std::string("stack.") + field,
+                             std::to_string(got),
+                             std::to_string(want)});
+    };
+    check("refs", stack.refs, oracle.refs);
+    check("readRefs", stack.readRefs, oracle.readRefs);
+    check("writeRefs", stack.writeRefs, oracle.writeRefs);
+    check("groups", stack.groups, oracle.groups);
+    check("icache.readAccesses", stack.icache.readAccesses,
+          oracle.icache.readAccesses);
+    check("icache.readMisses", stack.icache.readMisses,
+          oracle.icache.readMisses);
+    check("dcache.readAccesses", stack.dcache.readAccesses,
+          oracle.dcache.readAccesses);
+    check("dcache.readMisses", stack.dcache.readMisses,
+          oracle.dcache.readMisses);
+    check("dcache.writeAccesses", stack.dcache.writeAccesses,
+          oracle.dcache.writeAccesses);
+    check("dcache.writeMisses", stack.dcache.writeMisses,
+          oracle.dcache.writeMisses);
 }
 
 // ---------------------------------------------------------------
@@ -626,6 +704,12 @@ checkCase(const FuzzCase &fuzz_case)
     }
     outcome.oracle = oracleRun(fuzz_case.config, fuzz_case.trace);
     outcome.diffs = diffResults(outcome.fast, outcome.oracle);
+    if (stackEligible(fuzz_case.config)) {
+        TraceRefSource source(fuzz_case.trace);
+        diffStackCounters(
+            runStackSweep(stackLattice(fuzz_case.config), source)[0],
+            outcome.oracle, outcome.diffs);
+    }
     outcome.mismatch = !outcome.diffs.empty();
     return outcome;
 }

@@ -63,7 +63,12 @@ struct CaseOutcome
     SimResult oracle;
 };
 
-/** Run @p fuzz_case on the fast path and the oracle and compare. */
+/**
+ * Run @p fuzz_case on the fast path and the oracle and compare.  A
+ * stackEligible() config also runs the stack kernel over itself and
+ * its half- and double-size siblings, and the counters it claims
+ * exact must equal the oracle's (diff fields prefixed "stack.").
+ */
 CaseOutcome checkCase(const FuzzCase &fuzz_case);
 
 /**

@@ -29,6 +29,7 @@
 #include "trace/ref_source.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
+#include "stack_lattice.hh"
 #include "verify/fuzz.hh"
 
 namespace cachetime
@@ -36,37 +37,7 @@ namespace cachetime
 namespace
 {
 
-/** An eligible unified machine with everything else at baseline. */
-SystemConfig
-unifiedConfig(std::uint64_t size_words, unsigned block_words,
-              unsigned assoc, AllocPolicy alloc, bool virtual_tags)
-{
-    SystemConfig config = SystemConfig::paperDefault();
-    config.split = false;
-    config.dcache.sizeWords = size_words;
-    config.dcache.blockWords = block_words;
-    config.dcache.fetchWords = 0;
-    config.dcache.assoc = assoc;
-    config.dcache.replPolicy =
-        assoc == 1 ? ReplPolicy::Random : ReplPolicy::LRU;
-    config.dcache.allocPolicy = alloc;
-    config.dcache.virtualTags = virtual_tags;
-    return config;
-}
-
-/** Split variant; both L1s get the shape, D side the alloc policy. */
-SystemConfig
-splitConfig(std::uint64_t size_words, unsigned block_words,
-            unsigned assoc, AllocPolicy alloc, bool pair_issue)
-{
-    SystemConfig config = unifiedConfig(size_words, block_words,
-                                        assoc, alloc, true);
-    config.split = true;
-    config.icache = config.dcache;
-    config.icache.allocPolicy = AllocPolicy::NoWriteAllocate;
-    config.cpu.pairIssue = pair_issue;
-    return config;
-}
+using namespace stack_test;
 
 /** RAII pool-size override: restores the original size on exit. */
 class ThreadGuard
@@ -80,29 +51,6 @@ class ThreadGuard
   private:
     unsigned original_;
 };
-
-/** Every counter the stack kernel produces, compared exactly. */
-void
-expectCountersEqual(const SimResult &got, const SimResult &want,
-                    const std::string &context)
-{
-    EXPECT_EQ(got.refs, want.refs) << context;
-    EXPECT_EQ(got.readRefs, want.readRefs) << context;
-    EXPECT_EQ(got.writeRefs, want.writeRefs) << context;
-    EXPECT_EQ(got.groups, want.groups) << context;
-    EXPECT_EQ(got.icache.readAccesses, want.icache.readAccesses)
-        << context;
-    EXPECT_EQ(got.icache.readMisses, want.icache.readMisses)
-        << context;
-    EXPECT_EQ(got.dcache.readAccesses, want.dcache.readAccesses)
-        << context;
-    EXPECT_EQ(got.dcache.readMisses, want.dcache.readMisses)
-        << context;
-    EXPECT_EQ(got.dcache.writeAccesses, want.dcache.writeAccesses)
-        << context;
-    EXPECT_EQ(got.dcache.writeMisses, want.dcache.writeMisses)
-        << context;
-}
 
 /** One stack sweep at an explicit pool size. */
 std::vector<SimResult>
@@ -249,6 +197,24 @@ TEST(ShardedSweep, WarmSegmentsBitIdenticalAcrossThreads)
             {{third, third + trace.size() / 10 + 1},
              {2 * third, 2 * third + trace.size() / 12 + 1}});
         compareAcrossThreads(configs, warmed, seed);
+    }
+}
+
+/**
+ * The direct-mapped inclusion chains (gapped sizes, both policies
+ * and tag regimes, a single-layer chain, 2-way points beside the
+ * chains) on unified and split machines: each shard walks its own
+ * slices of the chains and folds its own histograms.
+ */
+TEST(ShardedSweep, InclusionChainsBitIdenticalAcrossThreads)
+{
+    const std::vector<Trace> traces = chainTraces(96401);
+    for (auto [split, pair] :
+         {std::pair{false, false}, {true, false}, {true, true}}) {
+        const std::vector<SystemConfig> configs =
+            chainLattice(split, pair);
+        for (std::size_t t = 0; t < traces.size(); ++t)
+            compareAcrossThreads(configs, traces[t], 96401 + t);
     }
 }
 

@@ -15,6 +15,7 @@
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
+#include "stack_lattice.hh"
 #include "verify/fuzz.hh"
 
 namespace cachetime
@@ -22,60 +23,7 @@ namespace cachetime
 namespace
 {
 
-/** An eligible unified machine with everything else at baseline. */
-SystemConfig
-unifiedConfig(std::uint64_t size_words, unsigned block_words,
-              unsigned assoc, AllocPolicy alloc, bool virtual_tags)
-{
-    SystemConfig config = SystemConfig::paperDefault();
-    config.split = false;
-    config.dcache.sizeWords = size_words;
-    config.dcache.blockWords = block_words;
-    config.dcache.fetchWords = 0;
-    config.dcache.assoc = assoc;
-    config.dcache.replPolicy =
-        assoc == 1 ? ReplPolicy::Random : ReplPolicy::LRU;
-    config.dcache.allocPolicy = alloc;
-    config.dcache.virtualTags = virtual_tags;
-    return config;
-}
-
-/** Split variant; both L1s get the shape, D side the alloc policy. */
-SystemConfig
-splitConfig(std::uint64_t size_words, unsigned block_words,
-            unsigned assoc, AllocPolicy alloc, bool pair_issue)
-{
-    SystemConfig config = unifiedConfig(size_words, block_words,
-                                        assoc, alloc, true);
-    config.split = true;
-    config.icache = config.dcache;
-    config.icache.allocPolicy = AllocPolicy::NoWriteAllocate;
-    config.cpu.pairIssue = pair_issue;
-    return config;
-}
-
-/** The counters the stack kernel claims exact; fail with context. */
-void
-expectCountersEqual(const SimResult &stack, const SimResult &full,
-                    const std::string &context)
-{
-    EXPECT_EQ(stack.refs, full.refs) << context;
-    EXPECT_EQ(stack.readRefs, full.readRefs) << context;
-    EXPECT_EQ(stack.writeRefs, full.writeRefs) << context;
-    EXPECT_EQ(stack.groups, full.groups) << context;
-    EXPECT_EQ(stack.icache.readAccesses, full.icache.readAccesses)
-        << context;
-    EXPECT_EQ(stack.icache.readMisses, full.icache.readMisses)
-        << context;
-    EXPECT_EQ(stack.dcache.readAccesses, full.dcache.readAccesses)
-        << context;
-    EXPECT_EQ(stack.dcache.readMisses, full.dcache.readMisses)
-        << context;
-    EXPECT_EQ(stack.dcache.writeAccesses, full.dcache.writeAccesses)
-        << context;
-    EXPECT_EQ(stack.dcache.writeMisses, full.dcache.writeMisses)
-        << context;
-}
+using namespace stack_test;
 
 void
 sweepAndCompare(const std::vector<SystemConfig> &configs,
@@ -232,6 +180,65 @@ TEST(StackSim, WarmSegmentsMatchBruteForce)
             {{third, third + trace.size() / 10 + 1},
              {2 * third, 2 * third + trace.size() / 12 + 1}});
         sweepAndCompare(configs, warmed, seed);
+    }
+}
+
+/**
+ * Direct-mapped inclusion chains: sizes with gaps at two block
+ * sizes, both allocation policies and tag regimes, a single-layer
+ * chain and 2-way points beside (and inside) the chains, on unified
+ * and split machines with and without pair issue, over warm-gated
+ * fuzz traces.
+ */
+TEST(StackSim, InclusionChainsMatchBruteForce)
+{
+    const std::vector<Trace> traces = chainTraces(97001);
+    for (auto [split, pair] :
+         {std::pair{false, false}, {true, false}, {true, true}}) {
+        const std::vector<SystemConfig> configs =
+            chainLattice(split, pair);
+        for (std::size_t t = 0; t < traces.size(); ++t)
+            sweepAndCompare(configs, traces[t], 97001 + t);
+    }
+}
+
+/**
+ * Block addresses that differ only at or above bit 48 must not
+ * alias in the direct-mapped probe: pid 1 alternating loads between
+ * 0x1000 and 0x1000 + 2^60 misses on every one of them.  The chain
+ * lattice then replays the fuzz traces with k * 2^60 added to every
+ * odd-position address, so wide and narrow blocks share sets.
+ */
+TEST(StackSim, WideAddressesMatchBruteForce)
+{
+    SystemConfig config = SystemConfig::paperDefault();
+    config.split = false;
+    config.dcache.fetchWords = 0;
+    std::vector<Ref> refs;
+    for (int i = 0; i < 6; ++i) {
+        refs.push_back({0x1000, RefKind::Load, 1});
+        refs.push_back({0x1000 + (Addr{1} << 60), RefKind::Load, 1});
+    }
+    const Trace alternating("wide", refs, 0);
+    EXPECT_EQ(simulateOne(config, alternating).dcache.readMisses, 12u);
+    sweepAndCompare({config}, alternating, 0);
+
+    bool cache_was_enabled = SimCache::global().enabled();
+    SimCache::global().setEnabled(false);
+    EXPECT_EQ(runMissRatioMany({config}, {alternating})[0].readMissRatio,
+              runGeoMeanMany({config}, {alternating})[0].readMissRatio);
+    SimCache::global().setEnabled(cache_was_enabled);
+
+    const std::vector<SystemConfig> lattice = chainLattice(false, false);
+    const std::vector<Trace> traces = chainTraces(98001);
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        std::vector<Ref> wide = traces[t].refs();
+        for (std::size_t i = 1; i < wide.size(); i += 2)
+            wide[i].addr += Addr{1 + i % 15} << 60;
+        Trace widened(traces[t].name(), std::move(wide),
+                      traces[t].warmStart());
+        widened.setWarmSegments(traces[t].warmSegments());
+        sweepAndCompare(lattice, widened, 98001 + t);
     }
 }
 
