@@ -1,6 +1,7 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/sim_cache.hh"
 #include "core/sweep.hh"
@@ -173,29 +174,37 @@ runGeoMeanMany(const std::vector<SystemConfig> &configs,
          C});
     const std::size_t groups = (C + width - 1) / width;
 
+    // Cut sub-batches from the lockstep order, so configs that differ
+    // only in timing land in one batch and share its L1 probe
+    // whatever order the caller listed the grid in.
+    std::vector<std::size_t> all(C);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const std::vector<std::size_t> order = lockstepOrder(configs, all);
+
     auto batches = parallelMap<std::vector<SimResultPtr>>(
         groups * T, [&](std::size_t task) {
             std::size_t g = task / T;
             std::size_t t = task % T;
             std::size_t begin = g * width;
             std::size_t end = std::min(C, begin + width);
-            std::vector<SystemConfig> part(
-                configs.begin() + static_cast<std::ptrdiff_t>(begin),
-                configs.begin() + static_cast<std::ptrdiff_t>(end));
+            std::vector<SystemConfig> part;
+            for (std::size_t k = begin; k < end; ++k)
+                part.push_back(configs[order[k]]);
             TraceRefSource source(traces[t]);
             return simulateSourceCachedMany(part, source, options);
         });
 
     // Scatter the batch slices back into (config-major, trace-minor)
     // order; results are index-aligned, so output is independent of
-    // the thread count and the batch width.
+    // the thread count, the batch width and the lockstep order.
     std::vector<SimResultPtr> results(C * T);
     for (std::size_t task = 0; task < batches.size(); ++task) {
         std::size_t g = task / T;
         std::size_t t = task % T;
         std::size_t begin = g * width;
         for (std::size_t k = 0; k < batches[task].size(); ++k)
-            results[(begin + k) * T + t] = std::move(batches[task][k]);
+            results[order[begin + k] * T + t] =
+                std::move(batches[task][k]);
     }
 
     std::vector<AggregateMetrics> out;

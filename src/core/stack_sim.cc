@@ -494,10 +494,10 @@ struct PassCounts
 };
 
 /**
- * The single pass driver, mirroring System::consumeChunk's
- * issue-group and measurement-window logic exactly: the measuring
- * flag is decided at the group's first reference, state always
- * advances, and only measured accesses are counted.  Every
+ * The single pass driver, mirroring the issue-group and
+ * measurement-window logic of System's timing pass exactly: the
+ * measuring flag is decided at the group's first reference, state
+ * always advances, and only measured accesses are counted.  Every
  * reference is handed to @p sink(ref, iside, write, measured) in
  * stream order - the serial kernel touches layers there, the
  * sharded kernel routes into per-shard buffers - so both kernels

@@ -1,11 +1,14 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
+#include <map>
 #include <string>
 
 #include "core/sim_cache.hh"
 #include "sim/coherent.hh"
 #include "stats/progress.hh"
 #include "stats/trace_event.hh"
+#include "trace/ref_source.hh" // mix64
 
 namespace cachetime
 {
@@ -25,19 +28,71 @@ cacheFootprintBytes(const CacheConfig &config)
            4096; // allocator slack and the object itself
 }
 
+/**
+ * @return @p indices (into @p configs) partitioned by lockstepKey():
+ * groups in order of first appearance, members in their given order.
+ */
+std::vector<std::vector<std::size_t>>
+lockstepGroups(const std::vector<SystemConfig> &configs,
+               const std::vector<std::size_t> &indices)
+{
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t>
+        group_of;
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i : indices) {
+        SimKey key = lockstepKey(configs[i]);
+        auto [it, fresh] =
+            group_of.try_emplace({key.lo, key.hi}, groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+    return groups;
+}
+
 } // namespace
+
+std::size_t
+frontFootprintBytes(const SystemConfig &config)
+{
+    std::size_t bytes = cacheFootprintBytes(config.dcache);
+    if (config.split)
+        bytes += cacheFootprintBytes(config.icache);
+    return bytes;
+}
 
 std::size_t
 configFootprintBytes(const SystemConfig &config)
 {
     std::size_t bytes = 64 * 1024; // CPU, buffers, TLB, result
-    if (config.split)
-        bytes += cacheFootprintBytes(config.icache);
-    bytes += cacheFootprintBytes(config.dcache);
+    bytes += frontFootprintBytes(config);
     for (const SystemConfig::MidLevelConfig &mid :
          config.resolvedMidLevels())
         bytes += cacheFootprintBytes(mid.cache);
     return bytes;
+}
+
+SimKey
+lockstepKey(const SystemConfig &config)
+{
+    if (config.coherent())
+        return simKey(config, 0);
+    SimKey key = warmStateKey(config);
+    if (config.split && config.cpu.pairIssue)
+        key.lo = mix64(key.lo ^ 0x70616972ULL); // "pair"
+    return key;
+}
+
+std::vector<std::size_t>
+lockstepOrder(const std::vector<SystemConfig> &configs,
+              const std::vector<std::size_t> &indices)
+{
+    std::vector<std::size_t> order;
+    order.reserve(indices.size());
+    for (const std::vector<std::size_t> &group :
+         lockstepGroups(configs, indices))
+        order.insert(order.end(), group.begin(), group.end());
+    return order;
 }
 
 std::vector<SimResult>
@@ -68,7 +123,9 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     };
     std::vector<Slot> slots;
     slots.reserve(configs.size());
-    for (const SystemConfig &config : configs) {
+    std::vector<std::size_t> classic;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const SystemConfig &config = configs[i];
         if (config.coherent()) {
             slots.push_back({true, coherents.size()});
             coherents.push_back(
@@ -76,7 +133,19 @@ simulateBatch(const std::vector<SystemConfig> &configs,
         } else {
             slots.push_back({false, systems.size()});
             systems.emplace_back(config);
+            classic.push_back(i);
         }
+    }
+
+    // Machines that differ only in timing share one L1 front: the
+    // first of each lockstep group builds it and probes every span
+    // once; the others allocate no L1 state and replay its log.
+    std::vector<std::vector<System *>> groups;
+    for (const std::vector<std::size_t> &members :
+         lockstepGroups(configs, classic)) {
+        groups.emplace_back();
+        for (std::size_t i : members)
+            groups.back().push_back(&systems[slots[i].index]);
     }
 
     // One decode, many replays: every span the feeder produces is
@@ -87,14 +156,18 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     // only; resident streams are consumed zero-copy), producing the
     // same span sequence byte for byte.
     PipelinedFeeder feeder(source);
-    for (System &system : systems)
-        system.beginRun(source);
+    for (const std::vector<System *> &group : groups) {
+        for (System *system : group)
+            system->beginRun(source, system == group[0] ? nullptr
+                                                        : group[0]);
+    }
     for (auto &coherent : coherents)
         coherent->beginRun(source);
     ProgressMeter *meter = progress::global();
     while (ChunkFeeder::Span span = feeder.next()) {
-        for (System &system : systems)
-            system.feedChunk(span.data, span.size);
+        for (const std::vector<System *> &group : groups)
+            System::feedGroup(group.data(), group.size(), span.data,
+                              span.size);
         for (auto &coherent : coherents)
             coherent->feedChunk(span.data, span.size);
         if (meter)
@@ -135,18 +208,27 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
             missing.push_back(i);
     }
 
+    missing = lockstepOrder(configs, missing);
     const std::size_t max_batch = options.maxBatch ? options.maxBatch : 1;
     std::size_t at = 0;
     while (at < missing.size()) {
         std::vector<SystemConfig> batch;
+        std::vector<SimKey> keys;
         std::size_t bytes = 0;
         std::size_t end = at;
         while (end < missing.size() && batch.size() < max_batch) {
-            std::size_t foot = configFootprintBytes(configs[missing[end]]);
+            const SystemConfig &config = configs[missing[end]];
+            SimKey key = lockstepKey(config);
+            std::size_t foot = configFootprintBytes(config);
+            // A lockstep follower shares its group's L1 arrays.
+            if (!config.coherent() &&
+                std::find(keys.begin(), keys.end(), key) != keys.end())
+                foot -= frontFootprintBytes(config);
             if (!batch.empty() && bytes + foot > options.memoryBudgetBytes)
                 break;
             bytes += foot;
-            batch.push_back(configs[missing[end]]);
+            batch.push_back(config);
+            keys.push_back(key);
             ++end;
         }
 

@@ -14,6 +14,18 @@
  * the reference sequence, and tests/test_differential.cc holds the
  * batched path to exact agreement at 1 and 8 threads.
  *
+ * Within a batch, machines that differ only in timing (equal
+ * lockstepKey) form a lockstep group sharing one L1 front: the L1
+ * cache(s) and TLB are probed once per reference for the group and
+ * the outcome is replayed into every member's timing state
+ * (System::feedGroup).  This is exact for the same reason live-point
+ * warm restores are: a cache's organizational behaviour does not
+ * depend on the cycle time or on anything below it.  A batch slot
+ * therefore costs one timing pass per reference, plus one L1/TLB
+ * probe per distinct group in the batch.  The entry points list each
+ * group's members adjacently (lockstepOrder) before cutting
+ * sub-batches, so sharing does not depend on the caller's grid order.
+ *
  * The cycle-accurate lattice here is one of the sweep engine's two
  * cooperating paths; the other is the stack-simulation kernel
  * (core/stack_sim.hh), which answers miss-ratio-only queries for
@@ -29,6 +41,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/sim_cache.hh"
 #include "sim/system.hh"
 
 namespace cachetime
@@ -38,9 +51,13 @@ namespace cachetime
 struct BatchOptions
 {
     /**
-     * Most configs replayed per stream pass.  Wider batches amortize
-     * decode further but dilute per-machine cache locality; eight is
-     * past the knee for every stream family benchmarked.
+     * Most configs replayed per stream pass.  Each slot costs a
+     * timing pass over every reference; its L1/TLB probe is paid
+     * once per lockstep group, so a slot whose group is already in
+     * the batch adds only the timing pass and no L1 arrays.  Wider
+     * batches amortize decode further but dilute per-machine cache
+     * locality; eight is past the knee for every stream family
+     * benchmarked.
      */
     std::size_t maxBatch = 8;
 
@@ -48,7 +65,8 @@ struct BatchOptions
      * Cap on the summed state-arena footprint of one sub-batch, so a
      * sweep over multi-megabyte caches cannot balloon resident
      * memory (a 2MB-word cache costs ~40MB of simulator state).  A
-     * sub-batch always admits at least one config.
+     * lockstep group's shared L1 counts once.  A sub-batch always
+     * admits at least one config.
      */
     std::size_t memoryBudgetBytes = std::size_t{256} << 20;
 };
@@ -82,6 +100,32 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
  * BatchOptions::memoryBudgetBytes.
  */
 std::size_t configFootprintBytes(const SystemConfig &config);
+
+/**
+ * @return the part of configFootprintBytes() held by the L1 cache
+ * arrays, which a lockstep group allocates once for all members.
+ */
+std::size_t frontFootprintBytes(const SystemConfig &config);
+
+/**
+ * @return the key under which simulateBatch() lets machines share an
+ * L1 front: warmStateKey() plus couplet pairing.  Pairing is timing,
+ * but it decides at which reference a machine crosses a warm
+ * boundary, and the shared L1 statistics are split there.  Coherent
+ * configs run their own engine and never share; their key is their
+ * simKey().
+ */
+SimKey lockstepKey(const SystemConfig &config);
+
+/**
+ * @return @p indices (into @p configs) reordered so configs sharing
+ * a lockstepKey() are adjacent: groups in order of first appearance,
+ * members in their given order.  Sub-batches cut from this order
+ * share an L1 front whatever order the caller listed the grid in.
+ */
+std::vector<std::size_t>
+lockstepOrder(const std::vector<SystemConfig> &configs,
+              const std::vector<std::size_t> &indices);
 
 } // namespace cachetime
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "stats/stats.hh"
-#include "trace_debug/trace_debug.hh"
 #include "util/logging.hh"
 #include "util/mathutil.hh"
 #include "util/serialize.hh"
@@ -85,12 +84,10 @@ Tlb::translateSlow(std::uint64_t vpage, Addr offset, Pid pid)
         }
     }
 
-    // Miss: refill, evicting the LRU way.
+    // Miss: refill, evicting the LRU way.  (The "tlb miss" trace
+    // line is emitted by the timing pass that charges the penalty,
+    // so it stays in order with the reference's other events.)
     ++stats_.misses;
-    CACHETIME_TRACE_EVENT(trace_debug::Tlb,
-                          "tlb miss vpage=%llx pid=%u",
-                          static_cast<unsigned long long>(vpage),
-                          static_cast<unsigned>(pid));
     unsigned victim = 0;
     for (unsigned w = 0; w < config_.assoc; ++w) {
         if (!ways[w].valid) {

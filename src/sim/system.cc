@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "stats/interval.hh"
 #include "trace_debug/trace_debug.hh"
@@ -11,6 +12,48 @@
 
 namespace cachetime
 {
+
+namespace
+{
+
+/** @return the trace name of an L1: "L1" when unified, else L1I/L1D. */
+const char *
+l1Name(bool split, bool iside)
+{
+    return !split ? "L1" : iside ? "L1I" : "L1D";
+}
+
+/**
+ * Most references probed before the timing passes replay them.  2048
+ * references (32 KB) and their log fit a 48 KB L1 data cache, so
+ * every member's timing pass re-reads them from there.  On a 4-vCPU
+ * Xeon, 1024-4096 measured alike; 128 and whole 16K-reference feeder
+ * chunks were slower, on the fused batch and on a single machine.
+ */
+constexpr std::size_t kProbeSpan = 2048;
+
+/**
+ * Call @p fn with std::bool_constant arguments for each runtime
+ * flag, so every combination gets its own instantiation.
+ */
+template <typename Fn>
+void
+withFlags(Fn &&fn)
+{
+    fn();
+}
+
+template <typename Fn, typename... Rest>
+void
+withFlags(Fn &&fn, bool flag, Rest... rest)
+{
+    auto bind = [&](auto c) {
+        withFlags([&](auto... cs) { fn(c, cs...); }, rest...);
+    };
+    flag ? bind(std::true_type{}) : bind(std::false_type{});
+}
+
+} // namespace
 
 System::System(const SystemConfig &config) : config_(config)
 {
@@ -22,11 +65,105 @@ System::System(const SystemConfig &config) : config_(config)
         config_.dcache.virtualTags = false;
         config_.l2cache.virtualTags = false;
     }
-    buildHierarchy();
+}
+
+System::L1Front::L1Front(const SystemConfig &config)
+{
+    if (config.addressing == AddressMode::Physical)
+        tlb = std::make_unique<Tlb>(config.tlb);
+    if (config.split)
+        icache = std::make_unique<Cache>(config.icache,
+                                         l1Name(true, true));
+    dcache = std::make_unique<Cache>(config.dcache,
+                                     l1Name(config.split, false));
 }
 
 void
-System::buildHierarchy()
+System::L1Front::resetStats()
+{
+    if (icache)
+        icache->resetStats();
+    dcache->resetStats();
+    if (tlb)
+        tlb->resetStats();
+}
+
+void
+System::L1Front::prefetchAfter(Cache &cache, Addr addr, Pid pid,
+                               AccessOutcome *&record,
+                               std::uint8_t &bits)
+{
+    const unsigned block = cache.config().blockWords;
+    *record = cache.prefetch((addr / block + 1) * block, pid);
+    if (!record->filled)
+        return; // already resident
+    ++record;
+    bits |= kPrefetchFill;
+}
+
+template <bool TraceOn, bool Split, bool HasTlb>
+void
+System::L1Front::probe(const Ref *refs, std::size_t n)
+{
+    Cache &iside = Split ? *icache : *dcache;
+    Cache &dside = *dcache;
+    // Sized for the worst case - every reference a miss followed by
+    // a prefetch - so the caches write misses straight into the log.
+    if (kinds.size() < n) {
+        kinds.resize(n);
+        records.resize(2 * n);
+        if (HasTlb)
+            paddrs.resize(n);
+    }
+    std::uint8_t *kind = kinds.data();
+    AccessOutcome *record = records.data();
+    Addr *paddr = paddrs.data();
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const Ref &ref = refs[i];
+        Addr addr = ref.addr;
+        Pid pid = ref.pid;
+        std::uint8_t bits = 0;
+        if constexpr (HasTlb) {
+            Tlb::Translation t = tlb->translate(addr, pid);
+            bits = t.hit ? 0 : kTlbMiss;
+            // Physical tags carry no process id.
+            addr = t.paddr;
+            pid = 0;
+            if (TraceOn || ref.kind == RefKind::Store)
+                *paddr++ = addr;
+        }
+        // A hit leaves *record untouched; a miss fills it in place.
+        if (ref.kind == RefKind::Store) {
+            HitKind hit = dside.writeFast(addr, 1, pid, *record);
+            if (hit == HitKind::Miss) [[unlikely]]
+                ++record;
+            bits |= static_cast<std::uint8_t>(hit);
+        } else {
+            Cache &cache = ref.kind == RefKind::IFetch ? iside : dside;
+            HitKind hit = cache.readFast(addr, 1, pid, *record);
+            bits |= static_cast<std::uint8_t>(hit);
+            const PrefetchPolicy policy = cache.config().prefetchPolicy;
+            if (hit == HitKind::Miss) [[unlikely]] {
+                const AccessOutcome &miss = *record++;
+                // One-block lookahead behind every demand fill (a
+                // victim-cache swap fetches nothing).
+                if (policy != PrefetchPolicy::None &&
+                    !(miss.victimCacheHit && !miss.filled))
+                    prefetchAfter(cache, addr, pid, record, bits);
+            } else if (hit == HitKind::HitPrefetched &&
+                       policy == PrefetchPolicy::Tagged) [[unlikely]] {
+                // Tagged prefetch: first use of a prefetched block
+                // triggers the next lookahead.
+                prefetchAfter(cache, addr, pid, record, bits);
+            }
+        }
+        kind[i] = bits;
+    }
+}
+
+void
+System::buildTiming()
 {
     memory_ = std::make_unique<MainMemory>(config_.memory,
                                            config_.cycleNs);
@@ -49,19 +186,6 @@ System::buildHierarchy()
                                               below, "L1.wbuf");
     l1Down_ = l1Buffer_.get();
 
-    if (config_.addressing == AddressMode::Physical)
-        tlb_ = std::make_unique<Tlb>(config_.tlb);
-    if (config_.split)
-        icache_ = std::make_unique<Cache>(config_.icache, "L1I");
-    dcache_ = std::make_unique<Cache>(
-        config_.dcache, config_.split ? "L1D" : "L1");
-}
-
-void
-System::reset()
-{
-    // Rebuild stateful components; cheap relative to a trace run.
-    buildHierarchy();
     icacheBusy_ = 0;
     dcacheBusy_ = 0;
     missPenalty_.reset();
@@ -71,19 +195,14 @@ System::reset()
 }
 
 void
-System::resetStats()
+System::resetTimingStats()
 {
-    if (icache_)
-        icache_->resetStats();
-    dcache_->resetStats();
     for (auto &level : midLevels_)
         level->resetStats();
     for (auto &buffer : midBuffers_)
         buffer->resetStats();
     l1Buffer_->resetStats();
     memory_->resetStats();
-    if (tlb_)
-        tlb_->resetStats();
     missPenalty_.reset();
     // Stall attribution must cover the same window as the cycle
     // count, so the warm-start boundary clears it too.
@@ -93,20 +212,16 @@ System::resetStats()
 }
 
 void
-System::maybePrefetch(Cache &cache, Tick &busy, Addr addr, Pid pid,
-                      Tick when)
+System::prefetchTiming(const Side &side, Tick &busy, Pid pid,
+                       Tick when, LogCursor &log)
 {
-    Addr next = (addr / cache.config().blockWords + 1) *
-                cache.config().blockWords;
-    AccessOutcome outcome = cache.prefetch(next, pid);
-    if (!outcome.filled)
-        return; // already resident
+    const AccessOutcome &outcome = *log.record++;
     ReadReply reply = l1Down_->readBlock(when, outcome.fetchAddr,
                                          outcome.fetchedWords, 0,
                                          pid);
     Tick victim_ready = when;
     if (outcome.victimDirty) {
-        unsigned block = cache.config().blockWords;
+        unsigned block = side.config.blockWords;
         victim_ready = when + block;
         Tick stall = l1Down_->writeBlock(
             victim_ready, outcome.victimBlockAddr, block,
@@ -119,54 +234,50 @@ System::maybePrefetch(Cache &cache, Tick &busy, Addr addr, Pid pid,
 
 template <bool TraceOn, bool HasTlb>
 Tick
-System::accessRead(Cache &cache, Tick &busy, const Ref &ref,
-                   Tick issue)
+System::accessRead(const Side &side, Tick &busy, const Ref &ref,
+                   std::uint8_t bits, Tick issue, LogCursor &log)
 {
     Tick start = std::max(issue, busy);
     Pid pid = ref.pid;
     Addr addr = ref.addr;
     if constexpr (HasTlb) {
-        Tlb::Translation t = tlb_->translate(ref.addr, ref.pid);
-        if (!t.hit) {
+        if (bits & L1Front::kTlbMiss) [[unlikely]] {
+            CACHETIME_TRACE_EVENT(
+                trace_debug::Tlb, "tlb miss vpage=%llx pid=%u",
+                static_cast<unsigned long long>(
+                    ref.addr / config_.tlb.pageWords),
+                static_cast<unsigned>(ref.pid));
             start += config_.tlb.missPenaltyCycles;
             stallTlb_ += config_.tlb.missPenaltyCycles;
         }
-        // Physical tags carry no process id.
         pid = 0;
-        addr = t.paddr;
+        if constexpr (TraceOn)
+            addr = *log.paddr++;
     }
 
-    AccessOutcome outcome{AccessOutcome::Uninit{}};
-    HitKind kind = cache.readFast(addr, 1, pid, outcome);
-    if (kind != HitKind::Miss) [[likely]] {
-        // Hit fast path: the outcome was never written; only the
-        // one-byte discriminant came back.
+    if ((bits & L1Front::kKindMask) !=
+        static_cast<std::uint8_t>(HitKind::Miss)) [[likely]] {
         Tick done = start + config_.cpu.readHitCycles;
         if constexpr (TraceOn) {
             CACHETIME_TRACE_EVENT(
                 trace_debug::Cache, "%s t=%llu read hit addr=%llx",
-                cache.name().c_str(),
-                static_cast<unsigned long long>(start),
+                side.name, static_cast<unsigned long long>(start),
                 static_cast<unsigned long long>(addr));
         }
         busy = std::max(busy, done);
-        if (kind == HitKind::HitPrefetched &&
-            cache.config().prefetchPolicy == PrefetchPolicy::Tagged)
-            [[unlikely]] {
-            // Tagged prefetch: first use of a prefetched block
-            // triggers the next lookahead.
-            maybePrefetch(cache, busy, addr, pid, done);
-        }
+        if (bits & L1Front::kPrefetchFill) [[unlikely]]
+            prefetchTiming(side, busy, pid, done, log);
         return done;
     }
 
-    return readMissTail(cache, busy, addr, pid, start, outcome);
+    return readMissTail(side, busy, addr, pid, start, bits, log);
 }
 
 Tick
-System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
-                     Tick start, AccessOutcome &outcome)
+System::readMissTail(const Side &side, Tick &busy, Addr addr, Pid pid,
+                     Tick start, std::uint8_t bits, LogCursor &log)
 {
+    const AccessOutcome &outcome = *log.record++;
     if (outcome.victimCacheHit && !outcome.filled) {
         // Victim-cache swap: a short fixed penalty instead of the
         // memory round trip; a dirty castout still drains below.
@@ -174,7 +285,7 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
                     config_.cpu.victimSwapCycles;
         if (outcome.victimDirty) {
             l1Down_->writeBlock(done, outcome.victimBlockAddr,
-                                cache.config().blockWords,
+                                side.config.blockWords,
                                 outcome.victimPid);
         }
         busy = std::max(busy, done);
@@ -184,8 +295,7 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
         CACHETIME_TRACE_EVENT(
             trace_debug::Cache,
             "%s t=%llu read victim-hit addr=%llx latency=%llu",
-            cache.name().c_str(),
-            static_cast<unsigned long long>(start),
+            side.name, static_cast<unsigned long long>(start),
             static_cast<unsigned long long>(addr),
             static_cast<unsigned long long>(done - start));
         return done;
@@ -204,7 +314,7 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
     // the block transfer into the buffer.
     Tick victim_ready = request;
     if (outcome.victimDirty) {
-        unsigned block = cache.config().blockWords;
+        unsigned block = side.config.blockWords;
         victim_ready = request + block; // one word per cycle
         Tick stall = l1Down_->writeBlock(
             victim_ready, outcome.victimBlockAddr, block,
@@ -229,44 +339,44 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
     stallRead_ += done - start - config_.cpu.readHitCycles;
     CACHETIME_TRACE_EVENT(
         trace_debug::Cache,
-        "%s t=%llu read miss%s addr=%llx latency=%llu%s",
-        cache.name().c_str(), static_cast<unsigned long long>(start),
+        "%s t=%llu read miss%s addr=%llx latency=%llu%s", side.name,
+        static_cast<unsigned long long>(start),
         outcome.tagMatch ? " (sub-block)" : "",
         static_cast<unsigned long long>(addr),
         static_cast<unsigned long long>(done - start),
         outcome.victimDirty ? " writeback" : "");
-    if (cache.config().prefetchPolicy != PrefetchPolicy::None) {
-        // One-block lookahead behind the demand fill.
-        maybePrefetch(cache, busy, addr, pid, fill_done);
-    }
+    // One-block lookahead behind the demand fill.
+    if (bits & L1Front::kPrefetchFill)
+        prefetchTiming(side, busy, pid, fill_done, log);
     return done;
 }
 
 template <bool TraceOn, bool HasTlb>
 Tick
-System::accessWrite(Cache &cache, Tick &busy, const Ref &ref,
-                    Tick issue)
+System::accessWrite(const Side &side, Tick &busy, const Ref &ref,
+                    std::uint8_t bits, Tick issue, LogCursor &log)
 {
     Tick start = std::max(issue, busy);
     Pid pid = ref.pid;
     Addr addr = ref.addr;
     if constexpr (HasTlb) {
-        Tlb::Translation t = tlb_->translate(ref.addr, ref.pid);
-        if (!t.hit) {
+        if (bits & L1Front::kTlbMiss) [[unlikely]] {
+            CACHETIME_TRACE_EVENT(
+                trace_debug::Tlb, "tlb miss vpage=%llx pid=%u",
+                static_cast<unsigned long long>(
+                    ref.addr / config_.tlb.pageWords),
+                static_cast<unsigned>(ref.pid));
             start += config_.tlb.missPenaltyCycles;
             stallTlb_ += config_.tlb.missPenaltyCycles;
         }
-        // Physical tags carry no process id.
         pid = 0;
-        addr = t.paddr;
+        addr = *log.paddr++;
     }
 
-    AccessOutcome outcome{AccessOutcome::Uninit{}};
-    HitKind kind = cache.writeFast(addr, 1, pid, outcome);
     Tick done = start + config_.cpu.writeHitCycles;
-
-    if (kind != HitKind::Miss) [[likely]] {
-        if (cache.config().writePolicy == WritePolicy::WriteThrough) {
+    if ((bits & L1Front::kKindMask) !=
+        static_cast<std::uint8_t>(HitKind::Miss)) [[likely]] {
+        if (side.config.writePolicy == WritePolicy::WriteThrough) {
             Tick stall =
                 l1Down_->writeBlock(done, addr, 1, pid);
             done = std::max(done, stall);
@@ -277,21 +387,21 @@ System::accessWrite(Cache &cache, Tick &busy, const Ref &ref,
             CACHETIME_TRACE_EVENT(
                 trace_debug::Cache,
                 "%s t=%llu write hit addr=%llx latency=%llu",
-                cache.name().c_str(),
-                static_cast<unsigned long long>(start),
+                side.name, static_cast<unsigned long long>(start),
                 static_cast<unsigned long long>(addr),
                 static_cast<unsigned long long>(done - start));
         }
         return done;
     }
 
-    return writeMissTail(cache, busy, addr, pid, start, outcome);
+    return writeMissTail(side, busy, addr, pid, start, log);
 }
 
 Tick
-System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
-                      Tick start, AccessOutcome &outcome)
+System::writeMissTail(const Side &side, Tick &busy, Addr addr,
+                      Pid pid, Tick start, LogCursor &log)
 {
+    const AccessOutcome &outcome = *log.record++;
     Tick done = start + config_.cpu.writeHitCycles;
 
     if (outcome.victimCacheHit && !outcome.filled) {
@@ -300,7 +410,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
         done += config_.cpu.victimSwapCycles;
         if (outcome.victimDirty) {
             l1Down_->writeBlock(done, outcome.victimBlockAddr,
-                                cache.config().blockWords,
+                                side.config.blockWords,
                                 outcome.victimPid);
         }
         busy = std::max(busy, done);
@@ -318,8 +428,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
             trace_debug::Cache,
             "%s t=%llu write miss (no-allocate) addr=%llx "
             "latency=%llu",
-            cache.name().c_str(),
-            static_cast<unsigned long long>(start),
+            side.name, static_cast<unsigned long long>(start),
             static_cast<unsigned long long>(addr),
             static_cast<unsigned long long>(done - start));
         return done;
@@ -333,7 +442,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
                            outcome.fetchCriticalOffset, pid);
     Tick victim_ready = request;
     if (outcome.victimDirty) {
-        unsigned block = cache.config().blockWords;
+        unsigned block = side.config.blockWords;
         victim_ready = request + block;
         Tick stall = l1Down_->writeBlock(
             victim_ready, outcome.victimBlockAddr, block,
@@ -341,7 +450,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
         victim_ready = std::max(victim_ready, stall);
     }
     done = std::max(reply.complete, victim_ready) + 1;
-    if (cache.config().writePolicy == WritePolicy::WriteThrough) {
+    if (side.config.writePolicy == WritePolicy::WriteThrough) {
         Tick stall = l1Down_->writeBlock(done, addr, 1, pid);
         done = std::max(done, stall);
     }
@@ -350,7 +459,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
     CACHETIME_TRACE_EVENT(
         trace_debug::Cache,
         "%s t=%llu write miss (allocate) addr=%llx latency=%llu%s",
-        cache.name().c_str(), static_cast<unsigned long long>(start),
+        side.name, static_cast<unsigned long long>(start),
         static_cast<unsigned long long>(addr),
         static_cast<unsigned long long>(done - start),
         outcome.victimDirty ? " writeback" : "");
@@ -378,8 +487,8 @@ System::foldMeasured(Tick now)
     result_.writeRefs += progress_.writes;
     progress_.groups = progress_.reads = progress_.writes = 0;
     if (config_.split)
-        result_.icache.merge(icache_->stats());
-    result_.dcache.merge(dcache_->stats());
+        result_.icache.merge(front_->icache->stats());
+    result_.dcache.merge(front_->dcache->stats());
     // midLevels_ is ordered memory-first; expose CPU-first.
     for (std::size_t i = midLevels_.size(); i-- > 0;) {
         std::size_t out = midLevels_.size() - 1 - i;
@@ -388,159 +497,143 @@ System::foldMeasured(Tick now)
     }
     result_.l1Buffer.merge(l1Buffer_->stats());
     result_.memory.merge(memory_->stats());
-    if (tlb_)
-        result_.tlb.merge(tlb_->stats());
+    if (front_->tlb)
+        result_.tlb.merge(front_->tlb->stats());
     result_.missPenaltyCycles.merge(missPenalty_);
     result_.stallReadCycles += stallRead_;
     result_.stallWriteCycles += stallWrite_;
     result_.stallTlbCycles += stallTlb_;
 }
 
+bool
+System::measuredAt(std::size_t p)
+{
+    // Measurement state is a pure function of the reference
+    // position; it is evaluated only at positions where it can
+    // change (progress_.boundary).
+    const std::vector<WarmSegment> &segments = runSegments_;
+    std::size_t &seg_idx = progress_.segIdx;
+    if (p < runWarmStart_) {
+        progress_.boundary = runWarmStart_;
+        return false;
+    }
+    while (seg_idx < segments.size() && p >= segments[seg_idx].end)
+        ++seg_idx;
+    if (seg_idx < segments.size() && p >= segments[seg_idx].begin) {
+        progress_.boundary = segments[seg_idx].end;
+        return false;
+    }
+    progress_.boundary = seg_idx < segments.size()
+                             ? segments[seg_idx].begin
+                             : std::numeric_limits<std::size_t>::max();
+    return true;
+}
+
+bool
+System::crossBoundary()
+{
+    bool want = measuredAt(progress_.consumed);
+    if (want == progress_.measuring)
+        return false;
+    if (want) {
+        resetTimingStats();
+        progress_.segStart = progress_.now;
+    } else {
+        foldMeasured(progress_.now);
+    }
+    progress_.measuring = want;
+    return want;
+}
+
 template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
 void
-System::consumeChunk(const Ref *buffer, std::size_t n)
+System::replay(const Ref *buffer, std::size_t n)
 {
     static_assert(Split || !Pair, "paired issue requires a split L1");
-    Cache &iside = Split ? *icache_ : *dcache_;
-    Cache &dside = *dcache_;
+    const Side iside{Split ? config_.icache : config_.dcache,
+                     l1Name(Split, true)};
+    const Side dside{config_.dcache, l1Name(Split, false)};
     // Busy horizons live in locals for the duration of the span so
     // the per-access load/max/store cycle stays in registers; they
-    // are written back below for the next span and for drain().
-    // Unified caches share one port, so ifetches contend on the same
-    // horizon as data references - with Split known at compile time
-    // the aliasing is resolved here instead of per access.
+    // are written back below for the next span.  Unified caches
+    // share one port, so ifetches contend on the same horizon as
+    // data references - with Split known at compile time the
+    // aliasing is resolved here instead of per access.
     Tick ibusyLocal = Split ? icacheBusy_ : 0;
     Tick dbusyLocal = dcacheBusy_;
     Tick &ibusy = Split ? ibusyLocal : dbusyLocal;
     Tick &dbusy = dbusyLocal;
 
-    const std::vector<WarmSegment> &segments = runSegments_;
-    const std::size_t warm_start = runWarmStart_;
-
-    // Cross-span progress is staged through locals so the
-    // steady-state loop runs out of registers; the per-span
-    // load/store is negligible against refChunkSize references.
+    const std::uint8_t *kinds = front_->kinds.data();
+    LogCursor log{front_->records.data(), front_->paddrs.data()};
     std::size_t head = 0;
-    std::size_t consumed = progress_.consumed;
     Tick now = progress_.now;
-    bool measuring = progress_.measuring;
-    std::size_t seg_idx = progress_.segIdx;
-    std::size_t boundary = progress_.boundary;
-    std::uint64_t groups = progress_.groups;
-    std::uint64_t reads = progress_.reads;
-    std::uint64_t writes = progress_.writes;
-
-    // Measurement state is a pure function of the reference
-    // position; evaluate it only at positions where it can change
-    // (boundary) so the steady-state loop pays one compare per
-    // group instead of re-deriving the segment containment.
-    auto stateAt = [&](std::size_t p) -> bool {
-        if (p < warm_start) {
-            boundary = warm_start;
-            return false;
-        }
-        while (seg_idx < segments.size() && p >= segments[seg_idx].end)
-            ++seg_idx;
-        if (seg_idx < segments.size() &&
-            p >= segments[seg_idx].begin) {
-            boundary = segments[seg_idx].end;
-            return false;
-        }
-        boundary = seg_idx < segments.size()
-                       ? segments[seg_idx].begin
-                       : std::numeric_limits<std::size_t>::max();
-        return true;
-    };
+    std::uint64_t groups = 0;
+    std::uint64_t writes = 0;
 
     while (head < n) {
-        // Measurement state is decided at issue-group granularity:
-        // the state at the group's first reference governs the whole
-        // group (the warm-start boundary has always worked this way).
-        if (consumed >= boundary) [[unlikely]] {
-            bool want = stateAt(consumed);
-            if (want != measuring) {
-                if (want) {
-                    resetStats();
-                    progress_.segStart = now;
-                } else {
-                    progress_.groups = groups;
-                    progress_.reads = reads;
-                    progress_.writes = writes;
-                    foldMeasured(now);
-                    groups = reads = writes = 0;
-                }
-                measuring = want;
-            }
-        }
-
         const Ref &first = buffer[head];
-        std::uint64_t greads = 0;
-        std::uint64_t gwrites = 0;
         Tick done;
         if (first.kind == RefKind::IFetch) {
-            ++greads;
             done = accessRead<TraceOn, HasTlb>(iside, ibusy, first,
-                                               now);
+                                               kinds[head], now, log);
             ++head;
-            ++consumed;
             if (Pair && head < n && isData(buffer[head].kind)) {
                 const Ref &data = buffer[head];
                 Tick d;
                 if (data.kind == RefKind::Store) {
-                    ++gwrites;
-                    d = accessWrite<TraceOn, HasTlb>(dside, dbusy,
-                                                     data, now);
+                    ++writes;
+                    d = accessWrite<TraceOn, HasTlb>(
+                        dside, dbusy, data, kinds[head], now, log);
                 } else {
-                    ++greads;
-                    d = accessRead<TraceOn, HasTlb>(dside, dbusy,
-                                                    data, now);
+                    d = accessRead<TraceOn, HasTlb>(
+                        dside, dbusy, data, kinds[head], now, log);
                 }
                 done = std::max(done, d);
                 ++head;
-                ++consumed;
             }
         } else if (first.kind == RefKind::Store) {
-            ++gwrites;
+            ++writes;
             done = accessWrite<TraceOn, HasTlb>(dside, dbusy, first,
-                                                now);
+                                                kinds[head], now, log);
             ++head;
-            ++consumed;
         } else {
-            ++greads;
             done = accessRead<TraceOn, HasTlb>(dside, dbusy, first,
-                                               now);
+                                               kinds[head], now, log);
             ++head;
-            ++consumed;
         }
         if (done <= now) [[unlikely]]
             panic("System: time failed to advance at ref %zu",
-                  consumed);
+                  progress_.consumed + head);
         now = done;
-
-        if (measuring) [[likely]] {
-            ++groups;
-            reads += greads;
-            writes += gwrites;
-        }
+        ++groups;
     }
 
-    progress_.consumed = consumed;
+    // A span never crosses a measurement boundary (feedGroup cuts
+    // there), so its counts are measured or not as a whole.
+    progress_.consumed += n;
     progress_.now = now;
-    progress_.measuring = measuring;
-    progress_.segIdx = seg_idx;
-    progress_.boundary = boundary;
-    progress_.groups = groups;
-    progress_.reads = reads;
-    progress_.writes = writes;
+    if (progress_.measuring) {
+        progress_.groups += groups;
+        progress_.reads += n - writes;
+        progress_.writes += writes;
+    }
     if (Split)
         icacheBusy_ = ibusyLocal;
     dcacheBusy_ = dbusyLocal;
 }
 
 void
-System::beginRun(const RefSource &source)
+System::beginRun(const RefSource &source, System *lead)
 {
-    reset();
+    buildTiming();
+    if (lead) {
+        ownFront_.reset();
+        front_ = lead->front_;
+    } else {
+        ownFront_ = std::make_unique<L1Front>(config_);
+        front_ = ownFront_.get();
+    }
     CACHETIME_TRACE_EVENT(
         trace_debug::Sim, "run start trace=%s refs=%llu warm=%zu",
         source.name().c_str(),
@@ -553,7 +646,7 @@ System::beginRun(const RefSource &source)
     result_.cycleNs = config_.cycleNs;
     result_.midLevels.resize(midLevels_.size());
     result_.midBuffers.resize(midBuffers_.size());
-    result_.physical = tlb_ != nullptr;
+    result_.physical = config_.addressing == AddressMode::Physical;
 
     progress_ = RunProgress{};
     runWarmStart_ = source.warmStart();
@@ -563,7 +656,9 @@ System::beginRun(const RefSource &source)
     // per-reference path re-checks none of them.  The TraceOn=false
     // paths skip even the (cheap) flag loads of the per-reference
     // trace points; results are bit-identical across instantiations.
-    runTraceOn_ = trace_debug::flags() != 0;
+    // A follower takes the lead's choice: the log's shape depends
+    // on it.
+    runTraceOn_ = lead ? lead->runTraceOn_ : trace_debug::flags() != 0;
     runPair_ = config_.split && config_.cpu.pairIssue;
 
     if (interval_) {
@@ -596,11 +691,11 @@ System::captureIntervalCounters() const
     MainMemoryStats mem = result_.memory;
     if (measuring) {
         if (config_.split)
-            ic.merge(icache_->stats());
-        dc.merge(dcache_->stats());
+            ic.merge(front_->icache->stats());
+        dc.merge(front_->dcache->stats());
         wb.merge(l1Buffer_->stats());
-        if (tlb_)
-            tlb.merge(tlb_->stats());
+        if (front_->tlb)
+            tlb.merge(front_->tlb->stats());
         mem.merge(memory_->stats());
     }
     if (config_.split) {
@@ -625,8 +720,9 @@ System::captureIntervalCounters() const
 void
 System::feedChunk(const Ref *refs, std::size_t n)
 {
+    System *self = this;
     if (!interval_) [[likely]] {
-        dispatchChunk(refs, n);
+        feedGroup(&self, 1, refs, n);
         return;
     }
     while (n != 0) {
@@ -645,7 +741,7 @@ System::feedChunk(const Ref *refs, std::size_t n)
             refs[take - 1].kind == RefKind::IFetch &&
             isData(refs[take].kind))
             ++take;
-        dispatchChunk(refs, take);
+        feedGroup(&self, 1, refs, take);
         refs += take;
         n -= take;
         if (progress_.consumed >= nextIntervalBoundary_) {
@@ -658,37 +754,66 @@ System::feedChunk(const Ref *refs, std::size_t n)
 }
 
 void
-System::dispatchChunk(const Ref *refs, std::size_t n)
+System::feedGroup(System *const *members, std::size_t count,
+                  const Ref *refs, std::size_t n)
 {
-    const bool has_tlb = tlb_ != nullptr;
-    auto dispatch = [&](auto trace_c, auto pair_c, auto split_c) {
-        has_tlb ? consumeChunk<trace_c.value, pair_c.value,
-                               split_c.value, true>(refs, n)
-                : consumeChunk<trace_c.value, pair_c.value,
-                               split_c.value, false>(refs, n);
-    };
-    using std::bool_constant;
-    if (runTraceOn_) {
-        if (runPair_)
-            dispatch(bool_constant<true>{}, bool_constant<true>{},
-                     bool_constant<true>{});
-        else if (config_.split)
-            dispatch(bool_constant<true>{}, bool_constant<false>{},
-                     bool_constant<true>{});
-        else
-            dispatch(bool_constant<true>{}, bool_constant<false>{},
-                     bool_constant<false>{});
-    } else {
-        if (runPair_)
-            dispatch(bool_constant<false>{}, bool_constant<true>{},
-                     bool_constant<true>{});
-        else if (config_.split)
-            dispatch(bool_constant<false>{}, bool_constant<false>{},
-                     bool_constant<true>{});
-        else
-            dispatch(bool_constant<false>{}, bool_constant<false>{},
-                     bool_constant<false>{});
+    System &lead = *members[0];
+    L1Front &front = *lead.front_;
+    const RunProgress &at = lead.progress_;
+    while (n != 0) {
+        // Warm-segment and measurement boundaries are positions in
+        // the stream, so every member crosses them here together
+        // (lockstep members pair couplets alike).  The shared L1
+        // statistics are folded by each member on measure-off and
+        // cleared once on measure-on.
+        if (at.consumed >= at.boundary) [[unlikely]] {
+            bool on = false;
+            for (std::size_t k = 0; k < count; ++k)
+                on = members[k]->crossBoundary();
+            if (on)
+                front.resetStats();
+        }
+        // Cut the span at the next boundary, or after kProbeSpan
+        // references; as at interval windows, a couplet straddling
+        // the cut stays whole, and the state at its first reference
+        // governs it.
+        std::size_t take = std::min(n, kProbeSpan);
+        if (at.boundary - at.consumed < take)
+            take = at.boundary - at.consumed;
+        if (take < n && lead.runPair_ &&
+            refs[take - 1].kind == RefKind::IFetch &&
+            isData(refs[take].kind))
+            ++take;
+        lead.probeSpan(refs, take);
+        for (std::size_t k = 0; k < count; ++k)
+            members[k]->replaySpan(refs, take);
+        refs += take;
+        n -= take;
     }
+}
+
+void
+System::probeSpan(const Ref *refs, std::size_t n)
+{
+    withFlags(
+        [&](auto trace_c, auto split_c, auto tlb_c) {
+            front_->probe<trace_c.value, split_c.value, tlb_c.value>(
+                refs, n);
+        },
+        runTraceOn_, config_.split, front_->tlb != nullptr);
+}
+
+void
+System::replaySpan(const Ref *refs, std::size_t n)
+{
+    const bool has_tlb = front_->tlb != nullptr;
+    withFlags(
+        [&](auto trace_c, auto pair_c, auto split_c, auto tlb_c) {
+            if constexpr (split_c.value || !pair_c.value)
+                replay<trace_c.value, pair_c.value, split_c.value,
+                       tlb_c.value>(refs, n);
+        },
+        runTraceOn_, runPair_, config_.split, has_tlb);
 }
 
 SimResult
@@ -751,15 +876,15 @@ System::captureState(StateWriter &w) const
     w.endSection();
     if (config_.split) {
         w.beginSection("L1I");
-        icache_->saveState(w);
+        front_->icache->saveState(w);
         w.endSection();
     }
     w.beginSection("L1D");
-    dcache_->saveState(w);
+    front_->dcache->saveState(w);
     w.endSection();
-    if (tlb_) {
+    if (front_->tlb) {
         w.beginSection("TLB");
-        tlb_->saveState(w);
+        front_->tlb->saveState(w);
         w.endSection();
     }
     w.beginSection("WB1");
@@ -787,15 +912,15 @@ System::restoreState(StateReader &r)
     r.endSection();
     if (config_.split) {
         expectSection(r, "L1I");
-        icache_->loadState(r);
+        front_->icache->loadState(r);
         r.endSection();
     }
     expectSection(r, "L1D");
-    dcache_->loadState(r);
+    front_->dcache->loadState(r);
     r.endSection();
-    if (tlb_) {
+    if (front_->tlb) {
         expectSection(r, "TLB");
-        tlb_->loadState(r);
+        front_->tlb->loadState(r);
         r.endSection();
     }
     expectSection(r, "WB1");
@@ -830,18 +955,18 @@ System::restoreWarmState(StateReader &r)
             if (!config_.split)
                 fatal("checkpoint warm state has a split L1, this "
                       "machine is unified (warm-key mismatch)");
-            icache_->loadState(r);
+            front_->icache->loadState(r);
             r.endSection();
             saw_i = true;
         } else if (tagIs(tag, "L1D")) {
-            dcache_->loadState(r);
+            front_->dcache->loadState(r);
             r.endSection();
             saw_d = true;
         } else if (tagIs(tag, "TLB")) {
-            if (!tlb_)
+            if (!front_->tlb)
                 fatal("checkpoint warm state has a TLB, this machine "
                       "is virtually addressed (warm-key mismatch)");
-            tlb_->loadState(r);
+            front_->tlb->loadState(r);
             r.endSection();
             saw_tlb = true;
         } else {
@@ -850,7 +975,7 @@ System::restoreWarmState(StateReader &r)
             r.skipSection();
         }
     }
-    if (!saw_d || (config_.split && !saw_i) || (tlb_ && !saw_tlb))
+    if (!saw_d || (config_.split && !saw_i) || (front_->tlb && !saw_tlb))
         fatal("checkpoint warm state is missing a cache/TLB section "
               "(corrupt or warm-key mismatch)");
 }

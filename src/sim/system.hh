@@ -15,6 +15,14 @@
  *    the write buffer;
  *  - I and D references issue as couplets and both must complete
  *    before the next group issues.
+ *
+ * The engine runs each span in two passes.  The organizational pass
+ * (L1Front::probe) advances the L1 cache(s) and the TLB and logs
+ * what every reference did; the timing pass (replay) reads only that
+ * log and the references and advances the clock, busy horizons,
+ * write buffers, lower levels and stall counters.  Because the first
+ * pass never depends on timing, machines that differ only in timing
+ * can share it (feedGroup).
  */
 
 #ifndef CACHETIME_SIM_SYSTEM_HH
@@ -45,7 +53,11 @@ class StateWriter;
 class System
 {
   public:
-    /** Build the machine; the configuration is validated here. */
+    /**
+     * Validate @p config.  Components are built per run, by
+     * beginRun(), so a machine that is constructed and run once
+     * allocates its cache arrays once.
+     */
     explicit System(const SystemConfig &config);
 
     /**
@@ -68,23 +80,45 @@ class System
 
     /**
      * Resumable run interface, the building block of the batched
-     * sweep engine: beginRun() arms the machine for @p source's
-     * stream, feedChunk() replays a span of its references, and
-     * endRun() folds the final measured segment and yields the
-     * result.  run(RefSource&) is exactly beginRun + one feedChunk
-     * per ChunkFeeder span + endRun; feeding the same spans to many
-     * Systems interleaved produces results bit-identical to running
-     * each alone, because a machine's evolution depends only on its
-     * own state and the reference sequence.
+     * sweep engine: beginRun() builds the machine and arms it for
+     * @p source's stream, feedChunk() replays a span of its
+     * references, and endRun() folds the final measured segment and
+     * yields the result.  run(RefSource&) is exactly beginRun + one
+     * feedChunk per ChunkFeeder span + endRun; feeding the same
+     * spans to many Systems interleaved produces results
+     * bit-identical to running each alone, because a machine's
+     * evolution depends only on its own state and the reference
+     * sequence.
+     *
+     * With @p lead, this machine shares @p lead's L1 front (caches,
+     * TLB and their statistics) instead of building its own; see
+     * feedGroup().  @p lead must have begun the same source's run
+     * just before and must keep its front - neither begin another
+     * run nor be destroyed - until this machine's endRun(); the two
+     * configs must share their lockstepKey() (core/sweep.hh): equal
+     * warmStateKey() and equal couplet pairing.
      *
      * Chunks must partition the stream in order.  When couplet
      * pairing is on, a chunk may not end on an IFetch unless it is
      * the last chunk (ChunkFeeder's trim rule guarantees this).
      */
-    void beginRun(const RefSource &source);
+    void beginRun(const RefSource &source, System *lead = nullptr);
 
     /** Replay @p n references continuing the armed run. */
     void feedChunk(const Ref *refs, std::size_t n);
+
+    /**
+     * Replay @p n references on a lockstep group: @p members[0] is
+     * the lead, and every other member began its run sharing the
+     * lead's front.  Each span is probed through the shared L1
+     * front once and the outcome is replayed into every member's
+     * timing state, so a group of k machines pays one L1/TLB probe
+     * per reference instead of k.  Results are bit-identical to
+     * running each member alone.  Interval collectors are not
+     * served here (feedChunk() serves a single machine's).
+     */
+    static void feedGroup(System *const *members, std::size_t count,
+                          const Ref *refs, std::size_t n);
 
     /** Finish the armed run and return its measurements. */
     SimResult endRun();
@@ -141,90 +175,165 @@ class System
 
   private:
     /**
-     * (Re)build every stateful component from config_: memory, the
-     * intermediate levels with their write buffers (memory-first so
-     * each level drains into the one below), the L1 write buffer,
-     * the TLB when addressing is physical, and the L1 cache(s).
+     * The organizational half of a machine: its L1 cache(s) and
+     * TLB.  Their evolution depends only on the reference stream
+     * and their own config (warmStateKey()), never on timing, so
+     * machines that differ only in timing can share one front.
+     * probe() advances the front through a span and logs what each
+     * reference did; the timing pass reads only that log and the
+     * references, never the caches.
      */
-    void buildHierarchy();
+    struct L1Front
+    {
+        explicit L1Front(const SystemConfig &config);
 
-    /** Reset caches, buffers, clock and statistics for a new run. */
-    void reset();
+        /** Outcome byte: the HitKind in the low two bits, plus: */
+        static constexpr std::uint8_t kKindMask = 3;
+        static constexpr std::uint8_t kTlbMiss = 4; ///< translation missed
+        /** A lookahead prefetch filled; its record follows. */
+        static constexpr std::uint8_t kPrefetchFill = 8;
 
-    /** Reset statistics only (warm-start boundary). */
-    void resetStats();
+        /**
+         * Probe @p n references and rewrite the log: one outcome
+         * byte per reference; in issue order, the AccessOutcome of
+         * every demand miss and of every prefetch that filled; and,
+         * with a TLB, the translated address of every store (and of
+         * every reference while tracing).
+         */
+        template <bool TraceOn, bool Split, bool HasTlb>
+        void probe(const Ref *refs, std::size_t n);
+
+        /**
+         * One-block lookahead behind @p addr; if it fills, its
+         * outcome is logged at @p record, which then advances.
+         */
+        void prefetchAfter(Cache &cache, Addr addr, Pid pid,
+                           AccessOutcome *&record, std::uint8_t &bits);
+
+        void resetStats();
+
+        std::unique_ptr<Cache> icache; ///< split L1 only
+        std::unique_ptr<Cache> dcache; ///< L1D, or the unified L1
+        std::unique_ptr<Tlb> tlb;      ///< physical addressing only
+
+        std::vector<std::uint8_t> kinds;
+        std::vector<AccessOutcome> records;
+        std::vector<Addr> paddrs;
+    };
+
+    /** Read position in the front's log during one timing pass. */
+    struct LogCursor
+    {
+        const AccessOutcome *record;
+        const Addr *paddr;
+    };
+
+    /** What the timing pass knows of one L1: config and trace name. */
+    struct Side
+    {
+        const CacheConfig &config;
+        const char *name;
+    };
 
     /**
-     * The reference-processing engine: issues one span of references
-     * in place, pairing I/D couplets inline.  Per-run decisions are
-     * hoisted into template parameters so the per-reference path
+     * Build the timing half from config_: memory, the intermediate
+     * levels with their write buffers (memory-first so each level
+     * drains into the one below) and the L1 write buffer; zero the
+     * busy horizons and the stall attribution.
+     */
+    void buildTiming();
+
+    /** Reset the timing half's statistics (measurement start). */
+    void resetTimingStats();
+
+    /**
+     * @return whether position @p p is measured; moves the segment
+     * cursor and sets progress_.boundary to the next position where
+     * the answer can change.
+     */
+    bool measuredAt(std::size_t p);
+
+    /**
+     * Re-derive the measurement state at the current position and
+     * fold (measure-off) or reset the timing statistics
+     * (measure-on).  @return true when measurement turned on.
+     */
+    bool crossBoundary();
+
+    /**
+     * The timing pass: replays one probed span against this
+     * machine's clock, busy horizons, write buffers, lower levels
+     * and stall counters, pairing I/D couplets inline.  Per-run
+     * decisions are template parameters so the per-reference path
      * carries no re-checks:
      * @tparam TraceOn  emit per-reference debug trace events
      * @tparam Pair     split caches with couplet issue enabled
-     * @tparam HasTlb   physical addressing (translate every ref)
-     * feedChunk() dispatches to the right instantiation per span;
-     * cross-span progress lives in progress_ and is staged through
-     * locals so the steady-state loop still runs out of registers.
+     * @tparam HasTlb   physical addressing (the log holds the TLB)
+     * Cross-span progress lives in progress_ and is staged through
+     * locals so the steady-state loop runs out of registers.
      */
     template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
-    void consumeChunk(const Ref *refs, std::size_t n);
+    void replay(const Ref *refs, std::size_t n);
 
-    /** Dispatch one span to the right consumeChunk instantiation. */
-    void dispatchChunk(const Ref *refs, std::size_t n);
+    /** Dispatch one span to the right probe instantiation. */
+    void probeSpan(const Ref *refs, std::size_t n);
+
+    /** Dispatch one span to the right replay instantiation. */
+    void replaySpan(const Ref *refs, std::size_t n);
 
     /**
      * @return the cumulative measured counters of the armed run at
-     * the current position: the folded result_ plus, mid-span of a
-     * measured segment, the live component stats and pending
-     * progress_ accumulators.  Read-only; the interval snapshots
-     * are built from differences of these.
+     * the current position: the folded result_ plus, inside a
+     * measured segment, the live component stats.  Read-only; the
+     * interval snapshots are built from differences of these.
      */
     IntervalCounters captureIntervalCounters() const;
 
     /**
-     * Fold the measured span ending at @p now into result_ (counter
-     * accumulators are taken from progress_, which the chunk loop
-     * synchronizes before the call).
+     * Fold the measured span ending at @p now into result_ (group
+     * and reference counts are taken from progress_).
      */
     void foldMeasured(Tick now);
 
     /**
      * @return completion time of a read issued at @p issue.  The
-     * probe + hit path is forced inline into runLoop(); everything
-     * past the HitKind check lives out of line in readMissTail().
+     * hit path is forced inline into replay(); everything past the
+     * HitKind check lives out of line in readMissTail().
      */
     template <bool TraceOn, bool HasTlb>
     [[gnu::always_inline]] inline Tick
-    accessRead(Cache &cache, Tick &busy, const Ref &ref, Tick issue);
+    accessRead(const Side &side, Tick &busy, const Ref &ref,
+               std::uint8_t bits, Tick issue, LogCursor &log);
 
     /** Victim-swap / fetch / early-continuation miss timing. */
-    Tick readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
-                      Tick start, AccessOutcome &outcome);
+    Tick readMissTail(const Side &side, Tick &busy, Addr addr, Pid pid,
+                      Tick start, std::uint8_t bits, LogCursor &log);
 
     /**
-     * Issue a one-block-lookahead prefetch for the block after
-     * @p addr, if the cache's policy requests it.  The fetch
-     * occupies the downstream path and the cache's fill port, but
-     * the CPU does not wait for it.
+     * Time a logged lookahead prefetch fill issued at @p when.  The
+     * fetch occupies the downstream path and the cache's fill port,
+     * but the CPU does not wait for it.
      */
-    void maybePrefetch(Cache &cache, Tick &busy, Addr addr, Pid pid,
-                       Tick when);
+    void prefetchTiming(const Side &side, Tick &busy, Pid pid,
+                        Tick when, LogCursor &log);
 
     /** @return completion time of a write issued at @p issue. */
     template <bool TraceOn, bool HasTlb>
     [[gnu::always_inline]] inline Tick
-    accessWrite(Cache &cache, Tick &busy, const Ref &ref,
-                Tick issue);
+    accessWrite(const Side &side, Tick &busy, const Ref &ref,
+                std::uint8_t bits, Tick issue, LogCursor &log);
 
     /** Victim-swap / no-allocate / write-allocate miss timing. */
-    Tick writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
-                       Tick start, AccessOutcome &outcome);
+    Tick writeMissTail(const Side &side, Tick &busy, Addr addr,
+                       Pid pid, Tick start, LogCursor &log);
 
     SystemConfig config_;
 
-    std::unique_ptr<Cache> icache_;
-    std::unique_ptr<Cache> dcache_;
-    std::unique_ptr<Tlb> tlb_;
+    /** This machine's own front; empty while it follows a lead. */
+    std::unique_ptr<L1Front> ownFront_;
+    /** The front the armed run probes: ownFront_ or a lead's. */
+    L1Front *front_ = nullptr;
+
     std::unique_ptr<MainMemory> memory_;
     /** Intermediate levels, nearest to memory first when built. */
     std::vector<std::unique_ptr<CacheLevel>> midLevels_;
@@ -248,8 +357,8 @@ class System
     Tick stallTlb_ = 0;
 
     /**
-     * Cross-chunk position of an armed run.  Everything the chunk
-     * loop keeps in registers is staged here at span boundaries so
+     * Cross-chunk position of an armed run.  Everything the timing
+     * pass keeps in registers is staged here at span boundaries so
      * a run can be suspended and resumed between feedChunk() calls.
      */
     struct RunProgress

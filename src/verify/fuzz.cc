@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/stack_sim.hh"
+#include "core/sweep.hh"
 #include "sim/coherent.hh"
 #include "sim/system.hh"
 #include "stats/progress.hh"
@@ -336,6 +337,88 @@ diffStackCounters(const SimResult &stack, const SimResult &oracle,
           oracle.dcache.writeAccesses);
     check("dcache.writeMisses", stack.dcache.writeMisses,
           oracle.dcache.writeMisses);
+}
+
+} // namespace
+
+std::vector<SystemConfig>
+lockstepSiblings(const SystemConfig &config)
+{
+    std::vector<SystemConfig> group{config};
+    auto add = [&](auto edit) {
+        SystemConfig sibling = config;
+        edit(sibling);
+        group.push_back(sibling);
+    };
+    add([](SystemConfig &c) { c.cycleNs *= 2; });
+    add([](SystemConfig &c) { c.memory.readLatencyNs += 150.0; });
+    add([](SystemConfig &c) { c.l1Buffer.depth += 2; });
+    add([](SystemConfig &c) {
+        c.cpu.earlyContinuation = !c.cpu.earlyContinuation;
+    });
+    if (config.addressing == AddressMode::Physical)
+        add([](SystemConfig &c) { c.tlb.missPenaltyCycles += 13; });
+    return group;
+}
+
+namespace
+{
+
+/**
+ * Run @p group as one fused batch over @p fuzz_case's trace and
+ * append a diff, prefixed @p prefix + "<k>.", for every field on
+ * which member k disagrees with @p reference(k).
+ */
+template <typename Reference>
+void
+diffBatch(const std::string &prefix, const FuzzCase &fuzz_case,
+          const std::vector<SystemConfig> &group, Reference &&reference,
+          std::vector<FieldDiff> &diffs)
+{
+    TraceRefSource source(fuzz_case.trace);
+    const std::vector<SimResult> batch = simulateBatch(group, source);
+    for (std::size_t k = 0; k < group.size(); ++k) {
+        for (FieldDiff diff : diffResults(batch[k], reference(k))) {
+            diff.field = prefix + std::to_string(k) + "." + diff.field;
+            diffs.push_back(std::move(diff));
+        }
+    }
+}
+
+/**
+ * Run @p fuzz_case's config and its lockstepSiblings() as one fused
+ * batch - one lockstep group sharing an L1 front - and diff each
+ * member against its own oracle run ("batch.<k>."; @p oracle is
+ * member 0's).  The oracle models neither hardware prefetch nor
+ * victim caches, so the same group with both turned on is held to
+ * each member's single-machine run instead ("batch.prefetch.<k>.";
+ * the diff's "oracle" column then holds that run): that way every
+ * kind of log record crosses the shared front.
+ */
+void
+diffLockstepBatch(const FuzzCase &fuzz_case, const SimResult &oracle,
+                  std::vector<FieldDiff> &diffs)
+{
+    const Trace &trace = fuzz_case.trace;
+    const std::vector<SystemConfig> group =
+        lockstepSiblings(fuzz_case.config);
+    diffBatch("batch.", fuzz_case, group,
+              [&](std::size_t k) {
+                  return k == 0 ? oracle : oracleRun(group[k], trace);
+              },
+              diffs);
+
+    SystemConfig extended = fuzz_case.config;
+    extended.icache.prefetchPolicy = PrefetchPolicy::OnMiss;
+    extended.dcache.prefetchPolicy = PrefetchPolicy::Tagged;
+    extended.dcache.victimEntries = 2;
+    const std::vector<SystemConfig> extended_group =
+        lockstepSiblings(extended);
+    diffBatch("batch.prefetch.", fuzz_case, extended_group,
+              [&](std::size_t k) {
+                  return System(extended_group[k]).run(trace);
+              },
+              diffs);
 }
 
 // ---------------------------------------------------------------
@@ -710,6 +793,8 @@ checkCase(const FuzzCase &fuzz_case)
             runStackSweep(stackLattice(fuzz_case.config), source)[0],
             outcome.oracle, outcome.diffs);
     }
+    if (!fuzz_case.config.coherent())
+        diffLockstepBatch(fuzz_case, outcome.oracle, outcome.diffs);
     outcome.mismatch = !outcome.diffs.empty();
     return outcome;
 }

@@ -64,10 +64,25 @@ struct CaseOutcome
 };
 
 /**
+ * @return @p config plus siblings that each change one timing-only
+ * field - cycle time, memory latency, L1 write-buffer depth, early
+ * continuation and, when physically addressed, the TLB miss penalty
+ * - so all share @p config's lockstepKey (core/sweep.hh) and a fused
+ * batch runs them over one L1 front.
+ */
+std::vector<SystemConfig> lockstepSiblings(const SystemConfig &config);
+
+/**
  * Run @p fuzz_case on the fast path and the oracle and compare.  A
  * stackEligible() config also runs the stack kernel over itself and
  * its half- and double-size siblings, and the counters it claims
  * exact must equal the oracle's (diff fields prefixed "stack.").
+ * A classic (non-coherent) config also runs simulateBatch over
+ * itself plus its lockstepSiblings() - one group sharing an L1
+ * front - and each result must equal its own oracle run (diff
+ * fields prefixed "batch.<sibling>.").  The same group with hardware
+ * prefetch and a victim cache, which the oracle does not model, must
+ * equal each member's single-machine run ("batch.prefetch.").
  */
 CaseOutcome checkCase(const FuzzCase &fuzz_case);
 

@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/sweep.hh"
+#include "stack_lattice.hh"
 #include "sim/coherent.hh"
 #include "sim/system.hh"
 #include "stats/interval.hh"
@@ -39,6 +41,24 @@ TEST(Differential, FuzzBatchAgrees)
         << "seed " << report.firstBadSeed << "\n"
         << report.firstDiff << "repro: " << report.reproPath;
     EXPECT_EQ(report.casesRun, options.cases);
+}
+
+/** Expect every aggregate of @p got to equal @p want's, bit for bit. */
+void
+expectSameMetrics(const AggregateMetrics &got, const AggregateMetrics &want,
+                  const std::string &where)
+{
+    EXPECT_EQ(got.cyclesPerRef, want.cyclesPerRef) << where;
+    EXPECT_EQ(got.execNsPerRef, want.execNsPerRef) << where;
+    EXPECT_EQ(got.readMissRatio, want.readMissRatio) << where;
+    EXPECT_EQ(got.ifetchMissRatio, want.ifetchMissRatio) << where;
+    EXPECT_EQ(got.loadMissRatio, want.loadMissRatio) << where;
+    EXPECT_EQ(got.writeMissRatio, want.writeMissRatio) << where;
+    EXPECT_EQ(got.readTrafficRatio, want.readTrafficRatio) << where;
+    EXPECT_EQ(got.writeTrafficBlockRatio, want.writeTrafficBlockRatio)
+        << where;
+    EXPECT_EQ(got.writeTrafficWordRatio, want.writeTrafficWordRatio)
+        << where;
 }
 
 /** Serialize the fields diffResults() compares, for batch equality. */
@@ -268,19 +288,129 @@ TEST(Differential, BatchedSweepBitIdenticalAcrossThreadCounts)
     SimCache::global().setEnabled(cache_was_enabled);
 
     ASSERT_EQ(one.size(), eight.size());
-    for (std::size_t c = 0; c < one.size(); ++c) {
-        EXPECT_EQ(one[c].cyclesPerRef, eight[c].cyclesPerRef);
-        EXPECT_EQ(one[c].execNsPerRef, eight[c].execNsPerRef);
-        EXPECT_EQ(one[c].readMissRatio, eight[c].readMissRatio);
-        EXPECT_EQ(one[c].ifetchMissRatio, eight[c].ifetchMissRatio);
-        EXPECT_EQ(one[c].loadMissRatio, eight[c].loadMissRatio);
-        EXPECT_EQ(one[c].writeMissRatio, eight[c].writeMissRatio);
-        EXPECT_EQ(one[c].readTrafficRatio,
-                  eight[c].readTrafficRatio);
-        EXPECT_EQ(one[c].writeTrafficBlockRatio,
-                  eight[c].writeTrafficBlockRatio);
-        EXPECT_EQ(one[c].writeTrafficWordRatio,
-                  eight[c].writeTrafficWordRatio);
+    for (std::size_t c = 0; c < one.size(); ++c)
+        expectSameMetrics(one[c], eight[c], "config " + std::to_string(c));
+}
+
+/**
+ * Sharing an L1 front must not depend on how the caller lists the
+ * grid: a size-major and a cycle-major listing of one lattice (every
+ * organization x timing-only siblings) aggregate to the same doubles
+ * per config, at 1 and 8 threads.  The cycle-major listing interleaves
+ * organizations, so only lockstepOrder() lets it share.
+ */
+TEST(Differential, BatchedSweepIndependentOfGridOrder)
+{
+    const std::uint64_t base_seed = 46501;
+    std::vector<std::vector<SystemConfig>> orgs;
+    for (std::uint64_t seed = base_seed; orgs.size() < 3; ++seed) {
+        SystemConfig config = verify::generateCase(seed).config;
+        if (config.coherent())
+            continue;
+        std::vector<SystemConfig> group =
+            verify::lockstepSiblings(config);
+        group.resize(4);
+        orgs.push_back(std::move(group));
+    }
+    std::vector<Trace> traces;
+    for (std::size_t t = 0; t < 3; ++t)
+        traces.push_back(
+            verify::generateCase(base_seed + 100 + t).trace);
+
+    // size-major: org-outer; cycle-major: timing-outer.
+    std::vector<SystemConfig> size_major, cycle_major;
+    for (const auto &group : orgs)
+        for (const SystemConfig &config : group)
+            size_major.push_back(config);
+    for (std::size_t k = 0; k < 4; ++k)
+        for (const auto &group : orgs)
+            cycle_major.push_back(group[k]);
+
+    bool cache_was_enabled = SimCache::global().enabled();
+    SimCache::global().setEnabled(false);
+    std::vector<std::vector<AggregateMetrics>> by_size, by_cycle;
+    for (unsigned threads : {1u, 8u}) {
+        setParallelThreads(threads);
+        by_size.push_back(runGeoMeanMany(size_major, traces));
+        by_cycle.push_back(runGeoMeanMany(cycle_major, traces));
+    }
+    setParallelThreads(0);
+    SimCache::global().setEnabled(cache_was_enabled);
+
+    for (std::size_t g = 0; g < orgs.size(); ++g) {
+        for (std::size_t k = 0; k < 4; ++k) {
+            const AggregateMetrics &want = by_size[0][g * 4 + k];
+            const std::string where = "org " + std::to_string(g) +
+                                      " sibling " + std::to_string(k);
+            expectSameMetrics(by_size[1][g * 4 + k], want, where);
+            for (const auto &run : by_cycle)
+                expectSameMetrics(run[k * orgs.size() + g], want,
+                                  where);
+        }
+    }
+}
+
+/**
+ * A lockstep group - a config and its timing-only siblings sharing
+ * one L1 front - must give every member its serial result, whichever
+ * member leads, over traces with a warm start and mid-trace warm
+ * segments (where the shared L1 statistics are split).  A sibling
+ * with couplet pairing flipped rides along: it shares the L1
+ * organization but crosses warm boundaries elsewhere, so it must not
+ * join the group.
+ */
+TEST(Differential, FusedBatchLockstepMatchesSerialRuns)
+{
+    const std::vector<Trace> traces = stack_test::chainTraces(45501);
+    std::size_t checked = 0;
+    for (std::uint64_t seed = 45601; checked < 12; ++seed) {
+        const SystemConfig config = verify::generateCase(seed).config;
+        if (config.coherent())
+            continue;
+        ++checked;
+        std::vector<SystemConfig> group =
+            verify::lockstepSiblings(config);
+        group.push_back(config);
+        group.back().cpu.pairIssue = !config.cpu.pairIssue;
+        std::vector<SystemConfig> reversed(group.rbegin(), group.rend());
+        const Trace &trace = traces[checked % traces.size()];
+        for (const auto *batch : {&group, &reversed}) {
+            TraceRefSource source(trace);
+            std::vector<SimResult> out = simulateBatch(*batch, source);
+            ASSERT_EQ(out.size(), batch->size());
+            for (std::size_t k = 0; k < batch->size(); ++k) {
+                System serial((*batch)[k]);
+                EXPECT_EQ(fingerprint(out[k]),
+                          fingerprint(serial.run(trace)))
+                    << "config seed " << seed << " member " << k
+                    << " trace " << trace.name();
+            }
+        }
+    }
+}
+
+/**
+ * Components are built per run: a machine that runs twice must give
+ * what two fresh machines give, including after a run whose warm
+ * start and segments differ from the next one's.
+ */
+TEST(Differential, ConsecutiveRunsMatchFreshMachines)
+{
+    const std::vector<Trace> traces = stack_test::chainTraces(47001);
+    for (std::uint64_t seed = 47101; seed < 47131; ++seed) {
+        const SystemConfig config = verify::generateCase(seed).config;
+        if (config.coherent())
+            continue;
+        const Trace &a = traces[seed % traces.size()];
+        const Trace &b = traces[(seed + 1) % traces.size()];
+        System reused(config);
+        SimResult first = reused.run(a);
+        SimResult second = reused.run(b);
+        EXPECT_EQ(fingerprint(first), fingerprint(System(config).run(a)))
+            << "seed " << seed;
+        EXPECT_EQ(fingerprint(second),
+                  fingerprint(System(config).run(b)))
+            << "seed " << seed;
     }
 }
 
@@ -508,6 +638,186 @@ TEST(Differential, MinimizerKeepsPassingCaseIntact)
     // Nothing to shrink when there is no failure to preserve.
     EXPECT_EQ(shrunk.trace.refs().size(),
               agreeing.trace.refs().size());
+}
+
+/** A one-field edit of a config, named for failure messages. */
+struct ConfigEdit
+{
+    std::string name;
+    std::function<void(SystemConfig &)> apply;
+};
+
+/** Edits of every field appendCache() hashes, on one L1 role. */
+std::vector<ConfigEdit>
+cacheFieldEdits(const std::string &role,
+                CacheConfig SystemConfig::*cache)
+{
+    auto edit = [&](const std::string &field,
+                    std::function<void(CacheConfig &)> fn) {
+        return ConfigEdit{role + "." + field,
+                          [cache, fn](SystemConfig &c) { fn(c.*cache); }};
+    };
+    return {
+        edit("sizeWords", [](CacheConfig &c) { c.sizeWords *= 2; }),
+        edit("blockWords", [](CacheConfig &c) { c.blockWords *= 2; }),
+        edit("assoc", [](CacheConfig &c) { c.assoc *= 2; }),
+        edit("fetchWords", [](CacheConfig &c) { c.fetchWords = 1; }),
+        edit("writePolicy",
+             [](CacheConfig &c) {
+                 c.writePolicy = WritePolicy::WriteThrough;
+             }),
+        edit("allocPolicy",
+             [](CacheConfig &c) {
+                 c.allocPolicy = AllocPolicy::WriteAllocate;
+             }),
+        edit("replPolicy",
+             [](CacheConfig &c) { c.replPolicy = ReplPolicy::LRU; }),
+        edit("prefetchPolicy",
+             [](CacheConfig &c) {
+                 c.prefetchPolicy = PrefetchPolicy::Tagged;
+             }),
+        edit("victimEntries", [](CacheConfig &c) { c.victimEntries = 4; }),
+        edit("virtualTags",
+             [](CacheConfig &c) { c.virtualTags = !c.virtualTags; }),
+        edit("replSeed", [](CacheConfig &c) { c.replSeed += 1; }),
+    };
+}
+
+/**
+ * warmStateKey() decides which machines share an L1 front, so it
+ * must cover everything the organizational pass reads: a change to
+ * any CacheConfig field of any L1 role, or to any TLB organization
+ * field, must change the key.
+ */
+TEST(WarmStateKey, OrganizationFieldsSplitKeys)
+{
+    SystemConfig split = SystemConfig::paperDefault();
+    SystemConfig unified = split;
+    unified.split = false;
+    SystemConfig physical = split;
+    physical.addressing = AddressMode::Physical;
+
+    auto expectSplits = [](const SystemConfig &base,
+                           const ConfigEdit &edit) {
+        SystemConfig changed = base;
+        edit.apply(changed);
+        EXPECT_FALSE(warmStateKey(changed) == warmStateKey(base))
+            << edit.name;
+    };
+    for (const ConfigEdit &edit :
+         cacheFieldEdits("icache", &SystemConfig::icache))
+        expectSplits(split, edit);
+    for (const ConfigEdit &edit :
+         cacheFieldEdits("dcache", &SystemConfig::dcache))
+        expectSplits(split, edit);
+    for (const ConfigEdit &edit :
+         cacheFieldEdits("unified", &SystemConfig::dcache))
+        expectSplits(unified, edit);
+
+    const std::vector<ConfigEdit> machine_edits = {
+        {"split", [](SystemConfig &c) { c.split = !c.split; }},
+        {"addressing",
+         [](SystemConfig &c) { c.addressing = AddressMode::Virtual; }},
+        {"tlb.entries", [](SystemConfig &c) { c.tlb.entries *= 2; }},
+        {"tlb.assoc", [](SystemConfig &c) { c.tlb.assoc /= 2; }},
+        {"tlb.pageWords", [](SystemConfig &c) { c.tlb.pageWords *= 2; }},
+        {"tlb.physFrames",
+         [](SystemConfig &c) { c.tlb.physFrames /= 2; }},
+    };
+    for (const ConfigEdit &edit : machine_edits)
+        expectSplits(physical, edit);
+    // Physical caches are physically tagged whatever the config says.
+    SystemConfig retagged = physical;
+    retagged.dcache.virtualTags = !retagged.dcache.virtualTags;
+    EXPECT_TRUE(warmStateKey(retagged) == warmStateKey(physical));
+}
+
+/**
+ * The converse: a change to a timing-only field - cycle time,
+ * memory timing, buffers, CPU hit/miss cycles, the TLB miss penalty,
+ * the levels below L1 - keeps the key, and the L1 and TLB counters
+ * over a fuzz trace stay equal.
+ */
+TEST(WarmStateKey, TimingFieldsShareKeyAndL1Counters)
+{
+    const std::vector<ConfigEdit> edits = {
+        {"cycleNs", [](SystemConfig &c) { c.cycleNs *= 3; }},
+        {"memory.readLatencyNs",
+         [](SystemConfig &c) { c.memory.readLatencyNs += 100.0; }},
+        {"memory.writeNs",
+         [](SystemConfig &c) { c.memory.writeNs += 50.0; }},
+        {"memory.recoveryNs",
+         [](SystemConfig &c) { c.memory.recoveryNs += 30.0; }},
+        {"memory.addressCycles",
+         [](SystemConfig &c) {
+             c.memory.addressCycles = 3 - c.memory.addressCycles;
+         }},
+        {"memory.rate",
+         [](SystemConfig &c) { c.memory.rate.cycles += 1; }},
+        {"memory.banks", [](SystemConfig &c) { c.memory.banks *= 2; }},
+        {"memory.loadForwarding",
+         [](SystemConfig &c) {
+             c.memory.loadForwarding = !c.memory.loadForwarding;
+         }},
+        {"memory.streaming",
+         [](SystemConfig &c) { c.memory.streaming = !c.memory.streaming; }},
+        {"l1Buffer.enabled",
+         [](SystemConfig &c) { c.l1Buffer.enabled = !c.l1Buffer.enabled; }},
+        {"l1Buffer.depth", [](SystemConfig &c) { c.l1Buffer.depth += 3; }},
+        {"l1Buffer.coalesce",
+         [](SystemConfig &c) {
+             c.l1Buffer.coalesce = !c.l1Buffer.coalesce;
+         }},
+        {"cpu.readHitCycles",
+         [](SystemConfig &c) {
+             c.cpu.readHitCycles = 3 - c.cpu.readHitCycles;
+         }},
+        {"cpu.writeHitCycles",
+         [](SystemConfig &c) {
+             c.cpu.writeHitCycles = c.cpu.writeHitCycles % 4 + 1;
+         }},
+        {"cpu.victimSwapCycles",
+         [](SystemConfig &c) { c.cpu.victimSwapCycles += 2; }},
+        {"cpu.earlyContinuation",
+         [](SystemConfig &c) {
+             c.cpu.earlyContinuation = !c.cpu.earlyContinuation;
+         }},
+        {"tlb.missPenaltyCycles",
+         [](SystemConfig &c) { c.tlb.missPenaltyCycles += 9; }},
+        {"hasL2", [](SystemConfig &c) { c.hasL2 = false; }},
+        {"l2Timing.hitCycles",
+         [](SystemConfig &c) { c.l2Timing.hitCycles += 2; }},
+        {"l2Buffer.depth", [](SystemConfig &c) { c.l2Buffer.depth += 2; }},
+    };
+
+    std::size_t checked = 0;
+    for (std::uint64_t seed = 48001; checked < 16; ++seed) {
+        verify::FuzzCase fuzz_case = verify::generateCase(seed);
+        const SystemConfig &base = fuzz_case.config;
+        if (base.coherent())
+            continue;
+        ++checked;
+        const SimResult want = System(base).run(fuzz_case.trace);
+        for (const ConfigEdit &edit : edits) {
+            SystemConfig changed = base;
+            edit.apply(changed);
+            EXPECT_TRUE(warmStateKey(changed) == warmStateKey(base))
+                << edit.name << " seed " << seed;
+            const SimResult got = System(changed).run(fuzz_case.trace);
+            auto counters = [](const SimResult &r) {
+                SimResult zero;
+                std::string print;
+                for (const char *prefix : {"icache.", "dcache.", "tlb."})
+                    for (const verify::FieldDiff &diff :
+                         verify::diffResults(r, zero))
+                        if (diff.field.rfind(prefix, 0) == 0)
+                            print += diff.field + "=" + diff.lhs + ";";
+                return print;
+            };
+            EXPECT_EQ(counters(got), counters(want))
+                << edit.name << " seed " << seed;
+        }
+    }
 }
 
 } // namespace
