@@ -23,8 +23,8 @@
  *
  * Invoked as `ext_sampling [--json[=path]]`; the JSON report asserts
  * that checkpointed replays re-simulate under 10% of the stream
- * (exit code 2 when they do not).  CACHETIME_BENCH_SCALE resizes
- * the traces.
+ * (exit code 2 when they do not).  CACHETIME_SCALE resizes the
+ * traces.
  */
 
 #include <algorithm>

@@ -1,5 +1,8 @@
 #include "sim/sim_result.hh"
 
+#include <string_view>
+
+#include "stats/fields.hh"
 #include "stats/stats.hh"
 #include "util/logging.hh"
 
@@ -34,11 +37,7 @@ SimResult::l2Buffer() const
 void
 SimResult::mergeCounters(const SimResult &other)
 {
-    refs += other.refs;
-    readRefs += other.readRefs;
-    writeRefs += other.writeRefs;
-    groups += other.groups;
-    cycles += other.cycles;
+    stats::mergeFields(*this, other);
     icache.merge(other.icache);
     dcache.merge(other.dcache);
     auto mergeVec = [](auto &into, const auto &from,
@@ -61,10 +60,6 @@ SimResult::mergeCounters(const SimResult &other)
     mergeVec(coreDcache, other.coreDcache, "coreDcache");
     coherenceStats.merge(other.coherenceStats);
     missClasses.merge(other.missClasses);
-    missPenaltyCycles.merge(other.missPenaltyCycles);
-    stallReadCycles += other.stallReadCycles;
-    stallWriteCycles += other.stallWriteCycles;
-    stallTlbCycles += other.stallTlbCycles;
 }
 
 double
@@ -149,49 +144,32 @@ SimResult::regStats(stats::Registry &registry,
 
     registry.addValue(name("cycleNs"), "CPU cycle time in ns",
                       [this] { return cycleNs; });
-    registry.addScalar(name("refs"), "references measured",
-                       [this] { return refs; });
-    registry.addScalar(name("readRefs"), "loads + ifetches measured",
-                       [this] { return readRefs; });
-    registry.addScalar(name("writeRefs"), "stores measured",
-                       [this] { return writeRefs; });
-    registry.addScalar(name("groups"),
-                       "issue groups (couplets count 1)",
-                       [this] { return groups; });
-    registry.addScalar(name("cycles"), "cycles consumed",
-                       [this] { return cycles; });
-
-    registry.addFormula(name("cyclesPerRef"),
-                        "total cycles / total references",
-                        [this] { return cyclesPerRef(); });
-    registry.addFormula(name("execNsPerRef"),
-                        "execution time per reference, ns",
-                        [this] { return execNsPerRef(); });
-    registry.addFormula(name("totalExecNs"),
-                        "total execution time, ns",
-                        [this] { return totalExecNs(); });
-    registry.addFormula(name("readMissRatio"),
-                        "combined L1 read miss ratio",
-                        [this] { return readMissRatio(); });
-    registry.addFormula(name("readTrafficRatio"),
-                        "words fetched below L1 per read",
-                        [this] { return readTrafficRatio(); });
-    registry.addFormula(name("writeTrafficWordRatio"),
-                        "dirty words + write-throughs per reference",
-                        [this] { return writeTrafficWordRatio(); });
-
-    registry.addScalar(name("stallReadCycles"),
-                       "cycles read misses held the CPU",
-                       [this] { return stallReadCycles; });
-    registry.addScalar(name("stallWriteCycles"),
-                       "cycles writes held the CPU",
-                       [this] { return stallWriteCycles; });
-    registry.addScalar(name("stallTlbCycles"),
-                       "cycles TLB walks held the CPU",
-                       [this] { return stallTlbCycles; });
-    registry.addHistogram(name("missPenaltyCycles"),
-                          "observed L1 read-miss service times",
-                          &missPenaltyCycles);
+    auto derived = [&] {
+        registry.addFormula(name("cyclesPerRef"),
+                            "total cycles / total references",
+                            [this] { return cyclesPerRef(); });
+        registry.addFormula(name("execNsPerRef"),
+                            "execution time per reference, ns",
+                            [this] { return execNsPerRef(); });
+        registry.addFormula(name("totalExecNs"),
+                            "total execution time, ns",
+                            [this] { return totalExecNs(); });
+        registry.addFormula(name("readMissRatio"),
+                            "combined L1 read miss ratio",
+                            [this] { return readMissRatio(); });
+        registry.addFormula(name("readTrafficRatio"),
+                            "words fetched below L1 per read",
+                            [this] { return readTrafficRatio(); });
+        registry.addFormula(name("writeTrafficWordRatio"),
+                            "dirty words + write-throughs per reference",
+                            [this] { return writeTrafficWordRatio(); });
+    };
+    // The derived metrics follow the cycle count in the dump.
+    forEachField([&](const char *leaf, const char *desc, auto member) {
+        stats::regField(registry, name(leaf), desc, this->*member);
+        if (std::string_view(leaf) == "cycles")
+            derived();
+    });
 
     icache.regStats(registry, root + ".l1i");
     dcache.regStats(registry, root + ".l1d");

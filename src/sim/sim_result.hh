@@ -98,6 +98,32 @@ struct SimResult
     Tick stallTlbCycles = 0;
 
     /**
+     * The top-line counters' field list (stats/fields.hh), in
+     * registration order; regStats() registers the derived metrics
+     * right after `cycles`.  The component groups have lists of
+     * their own.
+     */
+    template <typename Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using S = SimResult;
+        fn("refs", "references measured", &S::refs);
+        fn("readRefs", "loads + ifetches measured", &S::readRefs);
+        fn("writeRefs", "stores measured", &S::writeRefs);
+        fn("groups", "issue groups (couplets count 1)", &S::groups);
+        fn("cycles", "cycles consumed", &S::cycles);
+        fn("stallReadCycles", "cycles read misses held the CPU",
+           &S::stallReadCycles);
+        fn("stallWriteCycles", "cycles writes held the CPU",
+           &S::stallWriteCycles);
+        fn("stallTlbCycles", "cycles TLB walks held the CPU",
+           &S::stallTlbCycles);
+        fn("missPenaltyCycles", "observed L1 read-miss service times",
+           &S::missPenaltyCycles);
+    }
+
+    /**
      * Accumulate every measured counter of @p other into this
      * result: the top-line counts, each component's stats (via their
      * merge() helpers), the miss-penalty histogram and the stall

@@ -3,8 +3,9 @@
  * The consumers of a counter struct's field list.
  *
  * Each counter struct (CacheStats, WriteBufferStats, MainMemoryStats,
- * TlbStats, CoherenceStats, MissClassStats, IntervalCounters) lists
- * its counters exactly once, in a static member
+ * TlbStats, CoherenceStats, MissClassStats, IntervalCounters) and
+ * SimResult's top-line counters list their counters exactly once, in
+ * a static member
  *
  *     template <typename Fn> static void forEachField(Fn &&fn);
  *
@@ -47,25 +48,31 @@ mergeFields(S &into, const S &from)
 }
 
 /**
- * Register every field of @p s as "<prefix>.<leaf>": histograms as
- * histograms, everything else as an integer scalar.  The registry
- * reads through references, so @p s must outlive every dump.
+ * Register one field under @p name: a histogram as a histogram,
+ * anything else as an integer scalar.  The registry reads through a
+ * reference, so @p field must outlive every dump.
  */
+template <typename T>
+void
+regField(Registry &registry, const std::string &name, const char *desc,
+         const T &field)
+{
+    if constexpr (std::is_same_v<T, Histogram>)
+        registry.addHistogram(name, desc, &field);
+    else
+        registry.addScalar(name, desc, [&field] {
+            return static_cast<std::uint64_t>(field);
+        });
+}
+
+/** Register every field of @p s as "<prefix>.<leaf>" (regField). */
 template <typename S>
 void
 regFields(Registry &registry, const std::string &prefix, const S &s)
 {
     S::forEachField([&](const char *leaf, const char *desc,
                         auto member) {
-        const auto &field = s.*member;
-        std::string name = prefix + "." + leaf;
-        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>,
-                                     Histogram>)
-            registry.addHistogram(name, desc, &field);
-        else
-            registry.addScalar(name, desc, [&field] {
-                return static_cast<std::uint64_t>(field);
-            });
+        regField(registry, prefix + "." + leaf, desc, s.*member);
     });
 }
 

@@ -1,7 +1,5 @@
 #include "trace/trace_io.hh"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -19,8 +17,6 @@ namespace cachetime
 namespace
 {
 
-constexpr char binaryMagic[8] = {'C', 'T', 'T', 'R', 'A', 'C', 'E', '1'};
-
 RefKind
 kindFromChar(char c)
 {
@@ -37,30 +33,6 @@ kindFromChar(char c)
       default:
         fatal("trace_io: unknown reference kind '%c'", c);
     }
-}
-
-template <typename T>
-void
-writeLE(std::ostream &os, T value)
-{
-    std::array<char, sizeof(T)> bytes;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    os.write(bytes.data(), bytes.size());
-}
-
-template <typename T>
-T
-readLE(std::istream &is)
-{
-    std::array<unsigned char, sizeof(T)> bytes;
-    is.read(reinterpret_cast<char *>(bytes.data()), bytes.size());
-    if (!is)
-        fatal("trace_io: truncated binary trace");
-    T value = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        value |= static_cast<T>(bytes[i]) << (8 * i);
-    return value;
 }
 
 } // namespace
@@ -202,53 +174,6 @@ writeDinero(const Trace &trace, std::ostream &os, bool strict_pids)
     }
 }
 
-void
-writeBinary(const Trace &trace, std::ostream &os)
-{
-    os.write(binaryMagic, sizeof(binaryMagic));
-    writeLE<std::uint64_t>(os, trace.size());
-    writeLE<std::uint64_t>(os, trace.warmStart());
-    for (const Ref &ref : trace.refs()) {
-        writeLE<std::uint64_t>(os, ref.addr);
-        writeLE<std::uint16_t>(os, ref.pid);
-        writeLE<std::uint8_t>(os, static_cast<std::uint8_t>(ref.kind));
-    }
-}
-
-Trace
-readBinary(std::istream &is, const std::string &name)
-{
-    char magic[sizeof(binaryMagic)];
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
-        fatal("trace_io: not a cachetime binary trace");
-    auto count = readLE<std::uint64_t>(is);
-    auto warm_start = readLE<std::uint64_t>(is);
-    if (warm_start > count)
-        fatal("trace_io: header warm start %llu beyond the %llu "
-              "references in the trace",
-              static_cast<unsigned long long>(warm_start),
-              static_cast<unsigned long long>(count));
-    std::vector<Ref> refs;
-    // Cap the up-front reservation: a corrupt header must surface as
-    // a clean truncation error, not an allocation failure.
-    refs.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, 1u << 20)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Ref ref;
-        ref.addr = readLE<std::uint64_t>(is);
-        ref.pid = readLE<std::uint16_t>(is);
-        auto kind = readLE<std::uint8_t>(is);
-        if (kind > static_cast<std::uint8_t>(RefKind::Store))
-            fatal("trace_io: bad reference kind %u at record %llu",
-                  unsigned(kind), static_cast<unsigned long long>(i));
-        ref.kind = static_cast<RefKind>(kind);
-        refs.push_back(ref);
-    }
-    return Trace(name, std::move(refs),
-                 static_cast<std::size_t>(warm_start));
-}
-
 namespace
 {
 
@@ -279,21 +204,25 @@ loadFile(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         fatal("trace_io: cannot open '%s'", path.c_str());
-    char magic[sizeof(binaryMagic)];
+    char magic[sizeof(v2::magic)];
     is.read(magic, sizeof(magic));
-    bool binary = is &&
-        std::memcmp(magic, binaryMagic, sizeof(magic)) == 0;
     bool v2 = is &&
         std::memcmp(magic, v2::magic, sizeof(v2::magic)) == 0;
-    is.clear();
-    is.seekg(0);
-    std::string name = workloadNameFromPath(path);
+    // Any other CTTRACE version (the retired CTTRACE1, say) would
+    // otherwise reach the text parser and be reported as a
+    // malformed line of binary junk.
+    if (is && !v2 &&
+        std::memcmp(magic, v2::magic, sizeof(v2::magic) - 1) == 0)
+        fatal("trace_io: '%s' is a %.8s trace; only CTTRACE2 binary "
+              "traces are read",
+              path.c_str(), magic);
     if (v2) {
         is.close();
         return readV2(path);
     }
-    if (binary)
-        return readBinary(is, name);
+    is.clear();
+    is.seekg(0);
+    std::string name = workloadNameFromPath(path);
     if (hasSuffix(path, ".din"))
         return readDinero(is, name);
     return readText(is, name);
@@ -308,15 +237,18 @@ openRefSource(const std::string &path)
 }
 
 void
-saveFile(const Trace &trace, const std::string &path, bool binary)
+saveFile(const Trace &trace, const std::string &path)
 {
+    bool din = hasSuffix(path, ".din");
+    if (!din && !hasSuffix(path, ".txt")) {
+        writeV2(trace, path);
+        return;
+    }
     std::ofstream os(path, std::ios::binary);
     if (!os)
         fatal("trace_io: cannot create '%s'", path.c_str());
-    if (hasSuffix(path, ".din"))
+    if (din)
         writeDinero(trace, os);
-    else if (binary)
-        writeBinary(trace, os);
     else
         writeText(trace, os);
     if (!os)

@@ -9,11 +9,12 @@
  *    where kind is I, L or S (the classic "din" dialect extended
  *    with a process id column);
  *
- *  - a compact little-endian binary format with a small header, for
- *    traces in the multi-million-reference range.
+ *  - the classic uniprocess Dinero "din" format.
  *
- * Both round-trip exactly, including the warm-start boundary, which
- * is carried in a header/comment line.
+ * The binary format, CTTRACE2, lives in trace/trace_v2.hh; loadFile()
+ * and saveFile() pick among all three.  Text and CTTRACE2 round-trip
+ * exactly, including the warm-start boundary, which is carried in a
+ * header or comment line.
  */
 
 #ifndef CACHETIME_TRACE_TRACE_IO_HH
@@ -59,18 +60,13 @@ Trace readDinero(std::istream &is, const std::string &name = "din");
 void writeDinero(const Trace &trace, std::ostream &os,
                  bool strict_pids = false);
 
-/** Write @p trace to @p os in the binary format. */
-void writeBinary(const Trace &trace, std::ostream &os);
-
-/** Parse a binary-format trace; fatal on a bad magic or truncation. */
-Trace readBinary(std::istream &is, const std::string &name = "trace");
-
 /** @return a workload name derived from @p path (basename, no ext). */
 std::string workloadNameFromPath(const std::string &path);
 
 /**
- * Load a trace from @p path, sniffing the format by magic (binary
- * v1, format v2) or extension (".din"), defaulting to text.
+ * Load a trace from @p path, sniffing the format by magic
+ * (CTTRACE2) or extension (".din"), defaulting to text.  A file
+ * carrying any other CTTRACE magic is a fatal error.
  */
 Trace loadFile(const std::string &path);
 
@@ -82,9 +78,11 @@ Trace loadFile(const std::string &path);
  */
 std::unique_ptr<RefSource> openRefSource(const std::string &path);
 
-/** Save @p trace to @p path; binary iff @p binary. */
-void saveFile(const Trace &trace, const std::string &path,
-              bool binary = true);
+/**
+ * Save @p trace to @p path, picking the format by suffix: ".din" is
+ * Dinero, ".txt" is text, anything else is CTTRACE2.
+ */
+void saveFile(const Trace &trace, const std::string &path);
 
 } // namespace cachetime
 

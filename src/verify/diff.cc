@@ -72,11 +72,10 @@ std::vector<FieldDiff>
 diffResults(const SimResult &a, const SimResult &b)
 {
     Differ d;
-    d.field("refs", a.refs, b.refs);
-    d.field("readRefs", a.readRefs, b.readRefs);
-    d.field("writeRefs", a.writeRefs, b.writeRefs);
-    d.field("groups", a.groups, b.groups);
-    d.field("cycles", a.cycles, b.cycles);
+    SimResult::forEachField([&](const char *leaf, const char *,
+                                auto member) {
+        d.field(leaf, a.*member, b.*member);
+    });
 
     d.fields("icache", a.icache, b.icache);
     d.fields("dcache", a.dcache, b.dcache);
@@ -93,14 +92,6 @@ diffResults(const SimResult &a, const SimResult &b)
 
     d.field("physical", a.physical, b.physical);
     d.fields("tlb", a.tlb, b.tlb);
-
-    d.field("missPenaltyCycles", a.missPenaltyCycles,
-            b.missPenaltyCycles);
-    d.field("stallReadCycles", a.stallReadCycles,
-            b.stallReadCycles);
-    d.field("stallWriteCycles", a.stallWriteCycles,
-            b.stallWriteCycles);
-    d.field("stallTlbCycles", a.stallTlbCycles, b.stallTlbCycles);
 
     d.field("cores", a.cores, b.cores);
     d.field("coherent", a.coherent, b.coherent);

@@ -76,27 +76,26 @@ writeCheckpointCase(const std::string &path, Rng &rng)
     writeCheckpoint(cp, path);
 }
 
-/** Serialize @p trace to @p path in one of the five disk formats. */
+/** Serialize @p trace to @p path in one of the four disk formats. */
 void
 writeCase(const Trace &trace, const std::string &path, unsigned format,
           Rng &rng)
 {
-    if (format == 4) {
+    if (format == 3) {
         writeCheckpointCase(path, rng);
         return;
     }
-    if (format == 3) {
+    if (format == 2) {
         writeV2(trace, path);
         return;
     }
     std::ofstream out(path, std::ios::binary);
     if (!out)
         fatal("io_fuzz: cannot create '%s'", path.c_str());
-    switch (format) {
-    case 0: writeText(trace, out); break;
-    case 1: writeDinero(trace, out); break;
-    default: writeBinary(trace, out); break;
-    }
+    if (format == 0)
+        writeText(trace, out);
+    else
+        writeDinero(trace, out);
 }
 
 /** Read the whole file at @p path. */
@@ -226,7 +225,7 @@ runIoFuzz(const IoFuzzOptions &options)
                            std::to_string(seed) + ".trace";
 
         Trace trace = randomTrace(rng);
-        writeCase(trace, path, static_cast<unsigned>(rng.below(5)),
+        writeCase(trace, path, static_cast<unsigned>(rng.below(4)),
                   rng);
         mutateFile(path, rng);
 

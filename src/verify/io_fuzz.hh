@@ -3,7 +3,7 @@
  * Robustness fuzzing of the trace I/O layer.
  *
  * Each case writes a small random file in one of the on-disk
- * formats (text, din, binary v1, binary v2 traces, or a live-points
+ * formats (text, din or CTTRACE2 traces, or a live-points
  * checkpoint), then mutilates the bytes - truncation, bit flips,
  * garbage splices, or nothing at all - and loads the result in a
  * forked child: checkpoints through loadCheckpoint(), traces

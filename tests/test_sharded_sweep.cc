@@ -6,9 +6,10 @@
  * fixed-order merge are pure bookkeeping), the shard-key derivation
  * must match its specification, grids with no shared set-index bits
  * must fall back to the serial kernel unchanged, runMissRatioMany
- * must aggregate to the same doubles whichever engine and thread
- * count each point rode (including coherent configs, which the
- * stack kernel rejects onto the fused lattice), and PipelinedFeeder
+ * must aggregate to the same doubles as one full simulation per
+ * (config, trace) whichever engine and thread count each point rode
+ * (including coherent configs, which the stack kernel rejects onto
+ * the fused lattice), and PipelinedFeeder
  * must produce ChunkFeeder's span sequence byte for byte.
  *
  * Every test here saves and restores the process-wide pool size, so
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
 #include "trace/ref_source.hh"
+#include "trace/workloads.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 #include "stack_lattice.hh"
@@ -271,25 +274,43 @@ TEST(ShardedSweep, SerialFallbackWhenNoSharedBits)
     }
 }
 
+/** One full simulateOne() per (config, trace), aggregated. */
+std::vector<AggregateMetrics>
+perConfigAggregates(const std::vector<SystemConfig> &configs,
+                    const std::vector<Trace> &traces)
+{
+    std::vector<AggregateMetrics> aggregates;
+    for (const SystemConfig &config : configs) {
+        std::vector<std::shared_ptr<const SimResult>> results;
+        for (const Trace &trace : traces)
+            results.push_back(std::make_shared<const SimResult>(
+                simulateOne(config, trace)));
+        aggregates.push_back(aggregateResults(config, results));
+    }
+    return aggregates;
+}
+
 /**
  * The mode-selecting front end across pool sizes: stack-eligible
  * points ride the (sharded) stack kernel, random-replacement and
  * coherent points fall back to the fused lattice, and the
- * aggregated doubles must be equal - not close - at every thread
- * count.
+ * aggregated doubles must be equal - not close - to one full
+ * simulation per (config, trace) at every thread count.  Two grids:
+ * mixed engines over small fuzz cases, and the full Figure 3-1 size
+ * axis over the Table 1 traces at a realistic scale.
  */
 TEST(ShardedSweep, MissRatioManyBitIdenticalAcrossThreads)
 {
-    std::vector<SystemConfig> configs;
+    std::vector<SystemConfig> mixed;
     SystemConfig base = SystemConfig::paperDefault();
     for (std::uint64_t words : {1024u, 4096u}) {
         SystemConfig direct = base;
         direct.setL1SizeWordsEach(words);
-        configs.push_back(direct); // eligible, split
+        mixed.push_back(direct); // eligible, split
 
         SystemConfig random = direct;
         random.setL1Assoc(2); // random replacement: fused fallback
-        configs.push_back(random);
+        mixed.push_back(random);
     }
     // A coherent config: rejected by stackEligible(), must ride the
     // fused lattice and still aggregate identically.
@@ -297,41 +318,59 @@ TEST(ShardedSweep, MissRatioManyBitIdenticalAcrossThreads)
     coherent.cores = 2;
     coherent.protocol = CoherenceProtocol::MESI;
     coherent.applyCoherenceDefaults();
-    configs.push_back(coherent);
-
-    std::vector<Trace> traces;
+    mixed.push_back(coherent);
+    std::vector<Trace> cases;
     for (std::uint64_t seed = 96401; seed < 96404; ++seed)
-        traces.push_back(verify::generateCase(seed).trace);
+        cases.push_back(verify::generateCase(seed).trace);
+
+    // 2KB .. 2MB per cache.
+    std::vector<SystemConfig> fig3;
+    for (unsigned log2_kb = 1; log2_kb <= 11; ++log2_kb) {
+        SystemConfig config = base;
+        config.setL1SizeWordsEach((std::uint64_t{1} << log2_kb) *
+                                  1024 / 4);
+        fig3.push_back(config);
+    }
+
+    struct Grid
+    {
+        const char *name;
+        std::vector<SystemConfig> configs;
+        std::vector<Trace> traces;
+    };
+    const Grid grids[] = {{"mixed", mixed, cases},
+                          {"fig3", fig3, generateTable1(0.02)}};
 
     ThreadGuard guard;
     bool cache_was_enabled = SimCache::global().enabled();
     SimCache::global().setEnabled(false);
 
-    setParallelThreads(1);
-    std::vector<MissRatioMetrics> serial =
-        runMissRatioMany(configs, traces);
-    for (unsigned threads : {2u, 8u}) {
-        setParallelThreads(threads);
-        std::vector<MissRatioMetrics> wide =
-            runMissRatioMany(configs, traces);
-        ASSERT_EQ(wide.size(), serial.size());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            std::string context = "threads " +
-                                  std::to_string(threads) +
-                                  " config " +
-                                  configs[c].describe();
-            EXPECT_EQ(wide[c].readMissRatio,
-                      serial[c].readMissRatio)
-                << context;
-            EXPECT_EQ(wide[c].ifetchMissRatio,
-                      serial[c].ifetchMissRatio)
-                << context;
-            EXPECT_EQ(wide[c].loadMissRatio,
-                      serial[c].loadMissRatio)
-                << context;
-            EXPECT_EQ(wide[c].writeMissRatio,
-                      serial[c].writeMissRatio)
-                << context;
+    for (const Grid &grid : grids) {
+        const std::vector<AggregateMetrics> reference =
+            perConfigAggregates(grid.configs, grid.traces);
+        for (unsigned threads : {1u, 2u, 8u}) {
+            setParallelThreads(threads);
+            std::vector<MissRatioMetrics> swept =
+                runMissRatioMany(grid.configs, grid.traces);
+            ASSERT_EQ(swept.size(), reference.size());
+            for (std::size_t c = 0; c < grid.configs.size(); ++c) {
+                std::string context =
+                    std::string(grid.name) + " threads " +
+                    std::to_string(threads) + " config " +
+                    grid.configs[c].describe();
+                EXPECT_EQ(swept[c].readMissRatio,
+                          reference[c].readMissRatio)
+                    << context;
+                EXPECT_EQ(swept[c].ifetchMissRatio,
+                          reference[c].ifetchMissRatio)
+                    << context;
+                EXPECT_EQ(swept[c].loadMissRatio,
+                          reference[c].loadMissRatio)
+                    << context;
+                EXPECT_EQ(swept[c].writeMissRatio,
+                          reference[c].writeMissRatio)
+                    << context;
+            }
         }
     }
 

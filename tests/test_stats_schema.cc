@@ -52,25 +52,29 @@ setDistinct(Histogram &field, std::uint64_t value)
 }
 
 /**
- * Walk S's field list at @p slot of a SimResult: @p diffName is the
- * group's prefix in diffResults, @p regName its registry group.
+ * Walk S's field list at @p group(result) of a SimResult: @p diffName
+ * is the group's prefix in diffResults, @p regName its registry
+ * group (both empty for SimResult's own top-line list).
  */
-template <typename S>
+template <typename S, typename Group>
 void
-walkResultGroup(S SimResult::*slot, const std::string &diffName,
-                const std::string &regName)
+walkFields(Group group, const std::string &diffName,
+           const std::string &regName)
 {
+    auto dotted = [](const std::string &prefix, const char *leaf) {
+        return prefix.empty() ? std::string(leaf) : prefix + "." + leaf;
+    };
     std::set<std::string> leaves;
     std::uint64_t value = 3;
     S::forEachField([&](const char *leaf, const char *desc,
                         auto member) {
-        SCOPED_TRACE(diffName + "." + leaf);
+        SCOPED_TRACE(dotted(diffName, leaf));
         EXPECT_TRUE(leaves.insert(leaf).second) << "duplicate leaf";
         EXPECT_STRNE(desc, "");
 
         SimResult base = schemaBase();
         SimResult changed = base;
-        auto &field = changed.*slot.*member;
+        auto &field = group(changed).*member;
         setDistinct(field, value += 7);
 
         // diffResults names exactly this field (a histogram may
@@ -78,7 +82,7 @@ walkResultGroup(S SimResult::*slot, const std::string &diffName,
         std::vector<verify::FieldDiff> diffs =
             verify::diffResults(base, changed);
         ASSERT_FALSE(diffs.empty());
-        const std::string name = diffName + "." + leaf;
+        const std::string name = dotted(diffName, leaf);
         for (const verify::FieldDiff &diff : diffs) {
             EXPECT_TRUE(diff.field == name ||
                         diff.field.rfind(name + ".", 0) == 0)
@@ -88,7 +92,7 @@ walkResultGroup(S SimResult::*slot, const std::string &diffName,
         // mergeCounters sums it (maxOccupancy is a high-water mark).
         SimResult merged = changed;
         merged.mergeCounters(changed);
-        const auto &sum = merged.*slot.*member;
+        const auto &sum = group(merged).*member;
         if constexpr (std::is_same_v<
                           std::remove_cvref_t<decltype(field)>,
                           Histogram>) {
@@ -105,7 +109,7 @@ walkResultGroup(S SimResult::*slot, const std::string &diffName,
         stats::Registry registry;
         changed.regStats(registry);
         const stats::Stat *stat =
-            registry.find("system." + regName + "." + leaf);
+            registry.find("system." + dotted(regName, leaf));
         ASSERT_NE(stat, nullptr);
         EXPECT_EQ(stat->desc, desc);
         if constexpr (std::is_same_v<
@@ -116,6 +120,16 @@ walkResultGroup(S SimResult::*slot, const std::string &diffName,
             EXPECT_EQ(stat->value(), static_cast<double>(field));
     });
     EXPECT_FALSE(leaves.empty());
+}
+
+/** walkFields() over the counter struct at @p slot of a SimResult. */
+template <typename S>
+void
+walkResultGroup(S SimResult::*slot, const std::string &diffName,
+                const std::string &regName)
+{
+    walkFields<S>([slot](SimResult &r) -> S & { return r.*slot; },
+                  diffName, regName);
 }
 
 /**
@@ -158,6 +172,8 @@ TEST(StatsSchema, EveryListCoversItsStruct)
 
 TEST(StatsSchema, EveryResultFieldReachesEveryConsumer)
 {
+    walkFields<SimResult>([](SimResult &r) -> SimResult & { return r; },
+                          "", "");
     walkResultGroup(&SimResult::icache, "icache", "l1i");
     walkResultGroup(&SimResult::dcache, "dcache", "l1d");
     walkResultGroup(&SimResult::l1Buffer, "l1wbuf", "l1wbuf");

@@ -45,18 +45,6 @@ TEST(TraceIo, TextRoundTrip)
         EXPECT_EQ(copy.refs()[i], original.refs()[i]);
 }
 
-TEST(TraceIo, BinaryRoundTrip)
-{
-    Trace original = sampleTrace();
-    std::stringstream buffer;
-    writeBinary(original, buffer);
-    Trace copy = readBinary(buffer, "sample");
-    ASSERT_EQ(copy.size(), original.size());
-    EXPECT_EQ(copy.warmStart(), original.warmStart());
-    for (std::size_t i = 0; i < original.size(); ++i)
-        EXPECT_EQ(copy.refs()[i], original.refs()[i]);
-}
-
 TEST(TraceIo, TextSkipsCommentsAndBlanks)
 {
     std::stringstream buffer;
@@ -79,13 +67,16 @@ TEST(TraceIo, TextWarmStartDirective)
 
 TEST(TraceIo, FileRoundTripBothFormats)
 {
+    // .txt saves text; any suffix but .txt and .din saves CTTRACE2.
     Trace original = sampleTrace();
-    for (bool binary : {false, true}) {
-        std::string path = std::string("/tmp/cachetime_io_test_") +
-                           (binary ? "bin" : "txt") + ".trace";
-        saveFile(original, path, binary);
+    for (bool v2 : {false, true}) {
+        std::string path = std::string("/tmp/cachetime_io_test.") +
+                           (v2 ? "trace" : "txt");
+        saveFile(original, path);
+        EXPECT_EQ(isV2File(path), v2) << path;
         Trace copy = loadFile(path);
         ASSERT_EQ(copy.size(), original.size());
+        EXPECT_EQ(copy.warmStart(), original.warmStart()) << path;
         for (std::size_t i = 0; i < original.size(); ++i)
             EXPECT_EQ(copy.refs()[i], original.refs()[i]);
         std::remove(path.c_str());
@@ -200,7 +191,7 @@ TEST(TraceIo, DineroByFileExtension)
 TEST(TraceIo, LoadFileDerivesName)
 {
     Trace original = sampleTrace();
-    saveFile(original, "/tmp/myworkload.trace", true);
+    saveFile(original, "/tmp/myworkload.trace");
     Trace copy = loadFile("/tmp/myworkload.trace");
     EXPECT_EQ(copy.name(), "myworkload");
     std::remove("/tmp/myworkload.trace");
@@ -239,51 +230,6 @@ TEST(TraceIoDeath, TextRejectsWarmStartBeyondEnd)
         ::testing::ExitedWithCode(1), "warmstart 5 beyond");
 }
 
-TEST(TraceIoDeath, BinaryRejectsTruncation)
-{
-    std::stringstream buffer;
-    writeBinary(sampleTrace(), buffer);
-    std::string bytes = buffer.str();
-    bytes.resize(bytes.size() - 5);
-    EXPECT_EXIT(
-        {
-            std::stringstream in(bytes);
-            readBinary(in);
-        },
-        ::testing::ExitedWithCode(1), "truncated");
-}
-
-TEST(TraceIoDeath, BinaryRejectsWarmStartBeyondCount)
-{
-    std::stringstream buffer;
-    writeBinary(sampleTrace(), buffer);
-    std::string bytes = buffer.str();
-    bytes[16] = 100; // warm-start field at offset 8 (magic) + 8 (count)
-    EXPECT_EXIT(
-        {
-            std::stringstream in(bytes);
-            readBinary(in);
-        },
-        ::testing::ExitedWithCode(1), "warm start");
-}
-
-TEST(TraceIoDeath, BinaryRejectsHugeCountWithoutAllocating)
-{
-    // A corrupt count field must surface as a truncation error, not
-    // an attempt to reserve count * sizeof(Ref) bytes.
-    std::stringstream buffer;
-    writeBinary(sampleTrace(), buffer);
-    std::string bytes = buffer.str();
-    for (int i = 8; i < 16; ++i)
-        bytes[static_cast<std::size_t>(i)] = '\xff';
-    EXPECT_EXIT(
-        {
-            std::stringstream in(bytes);
-            readBinary(in);
-        },
-        ::testing::ExitedWithCode(1), "truncated");
-}
-
 TEST(TraceIo, V2RoundTrip)
 {
     Trace original = sampleTrace();
@@ -317,23 +263,61 @@ TEST(TraceIo, V2WriterStreamsIncrementally)
     std::remove(path.c_str());
 }
 
-TEST(TraceIoDeath, V2RejectsTruncation)
+/** @return the bytes of @p trace written as CTTRACE2. */
+std::string
+v2Bytes(const Trace &trace)
 {
-    std::string path = "/tmp/cachetime_io_test_v2t.trace";
-    writeV2(sampleTrace(), path);
+    std::string path = "/tmp/cachetime_io_test_v2b.trace";
+    writeV2(trace, path);
     std::ifstream in(path, std::ios::binary);
     std::stringstream ss;
     ss << in.rdbuf();
     in.close();
-    std::string bytes = ss.str();
-    bytes.resize(bytes.size() - 3);
+    std::remove(path.c_str());
+    return ss.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    EXPECT_EXIT(readV2(path), ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(V2FileSource source(path),
-                ::testing::ExitedWithCode(1), "");
+}
+
+TEST(TraceIoDeath, V2RejectsTruncation)
+{
+    // A record section cut short, and a corrupt header count of
+    // about 2^62 records: the count check must fire before any
+    // allocation sized by the count.
+    std::string truncated = v2Bytes(sampleTrace());
+    truncated.resize(truncated.size() - 3);
+    std::string huge_count = v2Bytes(sampleTrace());
+    huge_count[16 + 7] = '\x40'; // count field, most significant byte
+    std::string path = "/tmp/cachetime_io_test_v2t.trace";
+    for (const std::string &bytes : {truncated, huge_count}) {
+        writeBytes(path, bytes);
+        EXPECT_EXIT(readV2(path), ::testing::ExitedWithCode(1),
+                    "record section does not match");
+        EXPECT_EXIT(V2FileSource source(path),
+                    ::testing::ExitedWithCode(1),
+                    "record section does not match");
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoDeath, RetiredBinaryMagicIsRejected)
+{
+    // The retired v1 binary format must end in a clean fatal()
+    // naming the supported format, not in the text parser.
+    std::string bytes = v2Bytes(sampleTrace());
+    bytes[7] = '1';
+    std::string path = "/tmp/cachetime_io_test_v1.trace";
+    writeBytes(path, bytes);
+    EXPECT_EXIT(loadFile(path), ::testing::ExitedWithCode(1),
+                "CTTRACE1 trace; only CTTRACE2");
+    EXPECT_EXIT(openRefSource(path), ::testing::ExitedWithCode(1),
+                "CTTRACE1 trace; only CTTRACE2");
     std::remove(path.c_str());
 }
 
@@ -356,22 +340,17 @@ TEST(TraceIoDeath, V2RejectsWarmStartBeyondCount)
 TEST(TraceIo, OpenRefSourceMatchesLoadFileEverywhere)
 {
     Trace original = sampleTrace();
-    struct Case { const char *path; bool binary; bool v2; };
-    for (const Case &c : {Case{"/tmp/cachetime_ors.trace", false, false},
-                          Case{"/tmp/cachetime_ors_b.trace", true, false},
-                          Case{"/tmp/cachetime_ors_v2.trace", false, true}}) {
-        if (c.v2)
-            writeV2(original, c.path);
-        else
-            saveFile(original, c.path, c.binary);
-        Trace eager = loadFile(c.path);
-        auto source = openRefSource(c.path);
+    for (const char *path : {"/tmp/cachetime_ors.txt",
+                             "/tmp/cachetime_ors_v2.trace"}) {
+        saveFile(original, path);
+        Trace eager = loadFile(path);
+        auto source = openRefSource(path);
         Trace streamed = materialize(*source);
-        EXPECT_EQ(streamed.refs(), eager.refs()) << c.path;
-        EXPECT_EQ(streamed.warmStart(), eager.warmStart()) << c.path;
+        EXPECT_EQ(streamed.refs(), eager.refs()) << path;
+        EXPECT_EQ(streamed.warmStart(), eager.warmStart()) << path;
         EXPECT_EQ(source->contentHash(), traceIdentityHash(eager))
-            << c.path;
-        std::remove(c.path);
+            << path;
+        std::remove(path);
     }
 }
 
