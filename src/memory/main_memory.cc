@@ -22,6 +22,8 @@ MainMemory::MainMemory(const MainMemoryConfig &config, double cycleNs)
 Tick
 MainMemory::freeAt() const
 {
+    if (config_.banks == 1)
+        return std::max(busFreeAt_, bankFreeAt_[0]);
     Tick earliest_bank =
         *std::min_element(bankFreeAt_.begin(), bankFreeAt_.end());
     return std::max(busFreeAt_, earliest_bank);
@@ -30,10 +32,13 @@ MainMemory::freeAt() const
 Tick
 MainMemory::banksFreeAt(Addr addr, unsigned words) const
 {
+    // The paper's single functional unit: every access touches it.
+    if (config_.banks == 1)
+        return bankFreeAt_[0];
     Tick latest = 0;
     unsigned banks = config_.banks;
     unsigned touched = std::min<unsigned>(words, banks);
-    if (bankMask_ || banks == 1) {
+    if (bankMask_) {
         for (unsigned i = 0; i < touched; ++i) {
             unsigned bank =
                 static_cast<unsigned>((addr + i) & bankMask_);
@@ -52,9 +57,13 @@ MainMemory::banksFreeAt(Addr addr, unsigned words) const
 void
 MainMemory::occupyBanks(Addr addr, unsigned words, Tick until)
 {
+    if (config_.banks == 1) {
+        bankFreeAt_[0] = std::max(bankFreeAt_[0], until);
+        return;
+    }
     unsigned banks = config_.banks;
     unsigned touched = std::min<unsigned>(words, banks);
-    if (bankMask_ || banks == 1) {
+    if (bankMask_) {
         for (unsigned i = 0; i < touched; ++i) {
             unsigned bank =
                 static_cast<unsigned>((addr + i) & bankMask_);

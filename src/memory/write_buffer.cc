@@ -91,6 +91,10 @@ ReadReply
 WriteBuffer::readBlock(Tick when, Addr addr, unsigned words,
                        unsigned criticalOffset, Pid pid)
 {
+    // Nothing queued: nothing to retire, drain or match.
+    if (queue_.empty())
+        return down_->readBlock(when, addr, words, criticalOffset, pid);
+
     catchUp(when);
 
     Tick start = when;

@@ -31,6 +31,8 @@ l1Name(bool split, bool iside)
  * chunks were slower, on the fused batch and on a single machine.
  */
 constexpr std::size_t kProbeSpan = 2048;
+static_assert(kProbeSpan < 0xffff,
+              "a span's group counts must fit a HitRun's 16-bit fields");
 
 /**
  * Call @p fn with std::bool_constant arguments for each runtime
@@ -101,7 +103,7 @@ System::L1Front::prefetchAfter(Cache &cache, Addr addr, Pid pid,
     bits |= kPrefetchFill;
 }
 
-template <bool TraceOn, bool Split, bool HasTlb>
+template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
 void
 System::L1Front::probe(const Ref *refs, std::size_t n)
 {
@@ -114,10 +116,25 @@ System::L1Front::probe(const Ref *refs, std::size_t n)
         records.resize(2 * n);
         if (HasTlb)
             paddrs.resize(n);
+        // Runs are separated by event groups: at most (n + 1) / 2,
+        // plus the sentinel.
+        runs.resize(n / 2 + 2);
     }
     std::uint8_t *kind = kinds.data();
     AccessOutcome *record = records.data();
     Addr *paddr = paddrs.data();
+
+    // The open hit run: its first reference and its shape counts,
+    // which include the current group if that is still a hit.  A
+    // data reference pairs iff the reference before it is an IFetch,
+    // so the shape is counted without branching: an IFetch counts as
+    // a lone read, and the data reference that pairs with it moves
+    // that count to an ifetch+load or ifetch+store one.
+    HitRun *run = runs.data();
+    std::uint32_t run_begin = 0;
+    std::uint64_t shapes = 0;
+    bool prev_ifetch = false;
+    bool prev_event = false;
 
     for (std::size_t i = 0; i < n; ++i) {
         const Ref &ref = refs[i];
@@ -159,7 +176,37 @@ System::L1Front::probe(const Ref *refs, std::size_t n)
             }
         }
         kind[i] = bits;
+
+        if constexpr (!TraceOn) {
+            const bool ifetch = ref.kind == RefKind::IFetch;
+            const bool paired = Pair & prev_ifetch & !ifetch;
+            // An event group ends the open run before the group; a
+            // data reference paired with an event IFetch is part of
+            // that event group.
+            const bool event = ((bits & kKindMask) == 0) |
+                               ((bits & (kTlbMiss | kPrefetchFill)) != 0) |
+                               (paired & prev_event);
+            if (event) [[unlikely]] {
+                const std::uint32_t group =
+                    static_cast<std::uint32_t>(i) - paired;
+                *run = {run_begin, group, shapes - paired};
+                run += group > run_begin;
+                run_begin = static_cast<std::uint32_t>(i) + 1;
+                shapes = 0;
+            } else {
+                const unsigned shape =
+                    (unsigned{paired} << 1) |
+                    unsigned{ref.kind == RefKind::Store};
+                shapes += (std::uint64_t{1} << (16 * shape)) - paired;
+            }
+            prev_ifetch = ifetch;
+            prev_event = event;
+        }
     }
+    const std::uint32_t end = static_cast<std::uint32_t>(n);
+    if (!TraceOn && end > run_begin)
+        *run++ = {run_begin, end, shapes};
+    *run = {end, end, 0};
 }
 
 void
@@ -566,47 +613,84 @@ System::replay(const Ref *buffer, std::size_t n)
 
     const std::uint8_t *kinds = front_->kinds.data();
     LogCursor log{front_->records.data(), front_->paddrs.data()};
+    const L1Front::HitRun *run = front_->runs.data();
     std::size_t head = 0;
     Tick now = progress_.now;
     std::uint64_t groups = 0;
     std::uint64_t writes = 0;
 
-    while (head < n) {
-        const Ref &first = buffer[head];
-        Tick done;
-        if (first.kind == RefKind::IFetch) {
-            done = accessRead<TraceOn, HasTlb>(iside, ibusy, first,
-                                               kinds[head], now, log);
-            ++head;
-            if (Pair && head < n && isData(buffer[head].kind)) {
-                const Ref &data = buffer[head];
-                Tick d;
-                if (data.kind == RefKind::Store) {
-                    ++writes;
-                    d = accessWrite<TraceOn, HasTlb>(
-                        dside, dbusy, data, kinds[head], now, log);
-                } else {
-                    d = accessRead<TraceOn, HasTlb>(
-                        dside, dbusy, data, kinds[head], now, log);
+    // A hit run sums exactly only when no group in it waits on a
+    // busy horizon - once both are at or before the clock, hits keep
+    // them there - and no store hit goes down (write-through).
+    const bool sum_runs =
+        !TraceOn && config_.dcache.writePolicy == WritePolicy::WriteBack;
+    const Tick read_hit = config_.cpu.readHitCycles;
+    const Tick write_hit = config_.cpu.writeHitCycles;
+    const Tick pair_write_hit = std::max(read_hit, write_hit);
+
+    for (;;) {
+        std::size_t stop = run->begin;
+        if (head == stop) {
+            if (head == n)
+                break;
+            if (sum_runs && ibusy <= now && dbusy <= now) {
+                const std::uint64_t s = run->shapes;
+                const Tick reads = s & 0xffff;
+                const Tick stores = s >> 16 & 0xffff;
+                const Tick pair_reads = s >> 32 & 0xffff;
+                const Tick pair_writes = s >> 48;
+                now += (reads + pair_reads) * read_hit +
+                       stores * write_hit + pair_writes * pair_write_hit;
+                groups += reads + stores + pair_reads + pair_writes;
+                writes += stores + pair_writes;
+                if constexpr (HasTlb)
+                    log.paddr += stores + pair_writes;
+                head = run->end;
+                ++run;
+                continue;
+            }
+            stop = run->end;
+            ++run;
+        }
+        // Reference by reference up to the next run (event groups),
+        // or through a run that cannot be summed.
+        while (head < stop) {
+            const Ref &first = buffer[head];
+            Tick done;
+            if (first.kind == RefKind::IFetch) {
+                done = accessRead<TraceOn, HasTlb>(iside, ibusy, first,
+                                                   kinds[head], now, log);
+                ++head;
+                if (Pair && head < n && isData(buffer[head].kind)) {
+                    const Ref &data = buffer[head];
+                    Tick d;
+                    if (data.kind == RefKind::Store) {
+                        ++writes;
+                        d = accessWrite<TraceOn, HasTlb>(
+                            dside, dbusy, data, kinds[head], now, log);
+                    } else {
+                        d = accessRead<TraceOn, HasTlb>(
+                            dside, dbusy, data, kinds[head], now, log);
+                    }
+                    done = std::max(done, d);
+                    ++head;
                 }
-                done = std::max(done, d);
+            } else if (first.kind == RefKind::Store) {
+                ++writes;
+                done = accessWrite<TraceOn, HasTlb>(dside, dbusy, first,
+                                                    kinds[head], now, log);
+                ++head;
+            } else {
+                done = accessRead<TraceOn, HasTlb>(dside, dbusy, first,
+                                                   kinds[head], now, log);
                 ++head;
             }
-        } else if (first.kind == RefKind::Store) {
-            ++writes;
-            done = accessWrite<TraceOn, HasTlb>(dside, dbusy, first,
-                                                kinds[head], now, log);
-            ++head;
-        } else {
-            done = accessRead<TraceOn, HasTlb>(dside, dbusy, first,
-                                               kinds[head], now, log);
-            ++head;
+            if (done <= now) [[unlikely]]
+                panic("System: time failed to advance at ref %zu",
+                      progress_.consumed + head);
+            now = done;
+            ++groups;
         }
-        if (done <= now) [[unlikely]]
-            panic("System: time failed to advance at ref %zu",
-                  progress_.consumed + head);
-        now = done;
-        ++groups;
     }
 
     // A span never crosses a measurement boundary (feedGroup cuts
@@ -796,11 +880,12 @@ void
 System::probeSpan(const Ref *refs, std::size_t n)
 {
     withFlags(
-        [&](auto trace_c, auto split_c, auto tlb_c) {
-            front_->probe<trace_c.value, split_c.value, tlb_c.value>(
-                refs, n);
+        [&](auto trace_c, auto pair_c, auto split_c, auto tlb_c) {
+            if constexpr (split_c.value || !pair_c.value)
+                front_->probe<trace_c.value, pair_c.value,
+                              split_c.value, tlb_c.value>(refs, n);
         },
-        runTraceOn_, config_.split, front_->tlb != nullptr);
+        runTraceOn_, runPair_, config_.split, front_->tlb != nullptr);
 }
 
 void
@@ -869,10 +954,14 @@ expectSection(StateReader &r, const char want[4])
 void
 System::captureState(StateWriter &w) const
 {
+    // A busy horizon at or before the clock acts as the clock
+    // itself; whether a hit run was summed or replayed leaves it at
+    // different such values, so it is written as the clock.
+    const Tick now = progress_.now;
     w.beginSection("CLK");
-    w.u64(static_cast<std::uint64_t>(progress_.now));
-    w.u64(static_cast<std::uint64_t>(icacheBusy_));
-    w.u64(static_cast<std::uint64_t>(dcacheBusy_));
+    w.u64(static_cast<std::uint64_t>(now));
+    w.u64(static_cast<std::uint64_t>(std::max(icacheBusy_, now)));
+    w.u64(static_cast<std::uint64_t>(std::max(dcacheBusy_, now)));
     w.endSection();
     if (config_.split) {
         w.beginSection("L1I");

@@ -194,13 +194,34 @@ class System
         static constexpr std::uint8_t kPrefetchFill = 8;
 
         /**
+         * A maximal run of hit groups: issue groups (a lone
+         * reference, or an IFetch with the data reference it pairs
+         * with) whose references all hit, with no TLB miss and no
+         * prefetch fill.  Such a group's timing is a pure function
+         * of its shape, so the timing pass can sum a whole run.
+         */
+        struct HitRun
+        {
+            std::uint32_t begin; ///< first reference of the run
+            std::uint32_t end;   ///< one past its last reference
+            /**
+             * Four 16-bit group counts, indexed by shape
+             * (paired << 1 | store): lone read, lone store,
+             * ifetch+load, ifetch+store.
+             */
+            std::uint64_t shapes;
+        };
+
+        /**
          * Probe @p n references and rewrite the log: one outcome
          * byte per reference; in issue order, the AccessOutcome of
-         * every demand miss and of every prefetch that filled; and,
-         * with a TLB, the translated address of every store (and of
-         * every reference while tracing).
+         * every demand miss and of every prefetch that filled; with
+         * a TLB, the translated address of every store (and of every
+         * reference while tracing); and, unless tracing, the hit
+         * runs in order, closed by a {n, n} sentinel.  @p Pair must
+         * match the members' couplet pairing.
          */
-        template <bool TraceOn, bool Split, bool HasTlb>
+        template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
         void probe(const Ref *refs, std::size_t n);
 
         /**
@@ -219,6 +240,7 @@ class System
         std::vector<std::uint8_t> kinds;
         std::vector<AccessOutcome> records;
         std::vector<Addr> paddrs;
+        std::vector<HitRun> runs;
     };
 
     /** Read position in the front's log during one timing pass. */
@@ -263,9 +285,12 @@ class System
     /**
      * The timing pass: replays one probed span against this
      * machine's clock, busy horizons, write buffers, lower levels
-     * and stall counters, pairing I/D couplets inline.  Per-run
-     * decisions are template parameters so the per-reference path
-     * carries no re-checks:
+     * and stall counters, pairing I/D couplets inline.  A hit run
+     * costs O(1) when it cannot wait on a busy horizon (both are at
+     * or before the clock), the L1D is write-back and the run is not
+     * traced; any other run, and every event group, goes reference
+     * by reference.  Per-run decisions are template parameters so
+     * the per-reference path carries no re-checks:
      * @tparam TraceOn  emit per-reference debug trace events
      * @tparam Pair     split caches with couplet issue enabled
      * @tparam HasTlb   physical addressing (the log holds the TLB)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <memory>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
@@ -21,7 +22,10 @@
 #include "stats/progress.hh"
 #include "stats/trace_event.hh"
 #include "trace/trace_v2.hh"
+#include "trace/workloads.hh"
+#include "trace_debug/trace_debug.hh"
 #include "util/parallel.hh"
+#include "util/serialize.hh"
 #include "verify/fuzz.hh"
 #include "verify/oracle.hh"
 
@@ -387,6 +391,169 @@ TEST(Differential, FusedBatchLockstepMatchesSerialRuns)
             }
         }
     }
+}
+
+// --- hit-run compression -------------------------------------------
+
+/** What one member of a run shows: result and captured states. */
+struct MemberView
+{
+    std::string result; ///< fingerprint()
+    std::string mid;    ///< captureState() near mid-trace
+    std::string end;    ///< captureState() at the end of the stream
+};
+
+std::string
+capturedState(const System &machine)
+{
+    StateWriter w;
+    machine.captureState(w);
+    return w.take();
+}
+
+/**
+ * Run @p group over @p trace in chunks of 997 references (a couplet
+ * is never split): as one lockstep group sharing member 0's L1 front
+ * when @p lockstep, else every member alone, with interval windows of
+ * @p window references when nonzero.  Each member is captured after
+ * the chunk that reaches mid-trace and at the end.
+ */
+std::vector<MemberView>
+runHitRunGroup(const std::vector<SystemConfig> &group, const Trace &trace,
+               bool lockstep, std::uint64_t window)
+{
+    TraceRefSource source(trace);
+    std::vector<std::unique_ptr<System>> machines;
+    std::vector<std::unique_ptr<IntervalCollector>> collectors;
+    std::vector<System *> members;
+    for (const SystemConfig &config : group) {
+        machines.push_back(std::make_unique<System>(config));
+        System &machine = *machines.back();
+        if (window != 0) {
+            collectors.push_back(
+                std::make_unique<IntervalCollector>(window));
+            machine.setIntervalCollector(collectors.back().get());
+        }
+        machine.beginRun(source, lockstep && !members.empty()
+                                     ? members.front()
+                                     : nullptr);
+        members.push_back(&machine);
+    }
+
+    const std::vector<Ref> &refs = trace.refs();
+    const bool pair = group.front().split && group.front().cpu.pairIssue;
+    std::vector<MemberView> views(group.size());
+    bool mid_taken = false;
+    for (std::size_t at = 0; at < refs.size();) {
+        std::size_t end = std::min(at + 997, refs.size());
+        if (pair && end < refs.size() &&
+            refs[end - 1].kind == RefKind::IFetch && isData(refs[end].kind))
+            ++end;
+        if (lockstep) {
+            System::feedGroup(members.data(), members.size(),
+                              refs.data() + at, end - at);
+        } else {
+            for (System *machine : members)
+                machine->feedChunk(refs.data() + at, end - at);
+        }
+        at = end;
+        if (!mid_taken && 2 * at >= refs.size()) {
+            mid_taken = true;
+            for (std::size_t k = 0; k < members.size(); ++k)
+                views[k].mid = capturedState(*members[k]);
+        }
+    }
+    for (std::size_t k = 0; k < members.size(); ++k) {
+        views[k].end = capturedState(*members[k]);
+        views[k].result = fingerprint(members[k]->endRun());
+    }
+    return views;
+}
+
+/**
+ * The timing pass sums each run of hit groups in O(1) when no group
+ * in it can wait on a busy horizon, and otherwise replays it
+ * reference by reference.  Every member of a lockstep group whose
+ * members differ in hit times (so an ifetch+store pair costs the
+ * larger of the two) and in early continuation (which leaves a fill
+ * busy past the clock) must match a traced run of itself, which
+ * never sums a run: result and captured state.  The groups cover
+ * couplet pairing on and off, a unified L1, a write-through L1D
+ * (never summed), tagged prefetch (fills outlast the clock) and a
+ * TLB.  Span cuts inside runs come from the chunking, the warm start
+ * and warm segments, and, alone, interval windows; simulateOne and
+ * simulateBatch over every group give the same results.
+ */
+TEST(Differential, FusedBatchHitRunsMatchPerReferenceReplay)
+{
+    const Trace plain = generate(table1Workloads()[0], 0.01);
+    Trace trace(plain.name(), plain.refs(), plain.size() / 8);
+    const std::size_t third = trace.size() / 3;
+    trace.setWarmSegments(
+        {{third, third + 501}, {2 * third + 7, 2 * third + 1200}});
+
+    SystemConfig small = SystemConfig::paperDefault();
+    small.icache.sizeWords = 1024; // 4KB each: misses throughout
+    small.dcache.sizeWords = 1024;
+    std::vector<SystemConfig> bases(6, small);
+    bases[1].cpu.pairIssue = false;
+    bases[2].split = false;
+    bases[3].dcache.writePolicy = WritePolicy::WriteThrough;
+    bases[4].icache.prefetchPolicy = PrefetchPolicy::Tagged;
+    bases[4].dcache.prefetchPolicy = PrefetchPolicy::Tagged;
+    bases[5].addressing = AddressMode::Physical;
+
+    std::vector<SystemConfig> all;
+    std::vector<std::string> all_want;
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+        std::vector<SystemConfig> group;
+        const unsigned hit_cycles[][2] = {{1, 2}, {2, 2}, {1, 3}, {3, 1}};
+        for (const auto &hit : hit_cycles) {
+            for (bool early : {false, true}) {
+                SystemConfig config = bases[b];
+                config.cpu.readHitCycles = hit[0];
+                config.cpu.writeHitCycles = hit[1];
+                config.cpu.earlyContinuation = early;
+                group.push_back(config);
+            }
+        }
+
+        // Any trace flag selects the traced replay; Sim events go to
+        // a small ring, so the run stays quiet.
+        const unsigned saved = trace_debug::flags();
+        trace_debug::setRingCapacity(16);
+        trace_debug::setFlags(trace_debug::Sim);
+        const std::vector<MemberView> want =
+            runHitRunGroup(group, trace, false, 0);
+        trace_debug::setFlags(saved);
+        trace_debug::setRingCapacity(0);
+
+        const std::vector<MemberView> fused =
+            runHitRunGroup(group, trace, true, 0);
+        const std::vector<MemberView> windowed =
+            runHitRunGroup(group, trace, false, 263);
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            const std::string where =
+                "base " + std::to_string(b) + " member " + std::to_string(k);
+            EXPECT_EQ(fused[k].result, want[k].result) << where;
+            EXPECT_EQ(windowed[k].result, want[k].result) << where;
+            EXPECT_EQ(fingerprint(simulateOne(group[k], trace)),
+                      want[k].result)
+                << where;
+            EXPECT_TRUE(fused[k].mid == want[k].mid) << where;
+            EXPECT_TRUE(fused[k].end == want[k].end) << where;
+            EXPECT_TRUE(windowed[k].mid == want[k].mid) << where;
+            EXPECT_TRUE(windowed[k].end == want[k].end) << where;
+            all.push_back(group[k]);
+            all_want.push_back(want[k].result);
+        }
+    }
+
+    TraceRefSource source(trace);
+    const std::vector<SimResult> batch = simulateBatch(all, source);
+    ASSERT_EQ(batch.size(), all.size());
+    for (std::size_t c = 0; c < all.size(); ++c)
+        EXPECT_EQ(fingerprint(batch[c]), all_want[c]) << "config " << c;
 }
 
 /**
