@@ -175,8 +175,10 @@ runGeoMeanMany(const std::vector<SystemConfig> &configs,
     const std::size_t groups = (C + width - 1) / width;
 
     // Cut sub-batches from the lockstep order, so configs that differ
-    // only in timing land in one batch and share its L1 probe
-    // whatever order the caller listed the grid in.
+    // only in timing land in one batch and share its L1 probe, and
+    // each sub-batch of a direct-mapped size axis is a contiguous
+    // segment of its inclusion chain, whatever order the caller
+    // listed the grid in.
     std::vector<std::size_t> all(C);
     std::iota(all.begin(), all.end(), std::size_t{0});
     const std::vector<std::size_t> order = lockstepOrder(configs, all);

@@ -18,36 +18,97 @@ namespace
 
 /** Per-line cost of the SoA cache arrays (keys + flags + cold Line). */
 constexpr std::size_t bytesPerLine = 80;
+/** Per-line cost of a chain layer (fused key + dirty mask). */
+constexpr std::size_t chainBytesPerLine = 16;
 
 std::size_t
-cacheFootprintBytes(const CacheConfig &config)
+cacheFootprintBytes(const CacheConfig &config, std::size_t per_line)
 {
     std::size_t lines =
         config.blockWords ? config.sizeWords / config.blockWords : 0;
-    return lines * bytesPerLine + config.victimEntries * bytesPerLine +
+    return lines * per_line + config.victimEntries * per_line +
            4096; // allocator slack and the object itself
 }
 
 /**
- * @return @p indices (into @p configs) partitioned by lockstepKey():
- * groups in order of first appearance, members in their given order.
+ * @return @p indices (into @p configs) grouped by chainKey(): groups
+ * in order of first appearance, members by ascending L1D then L1I
+ * size, and in their given order at equal sizes.
  */
 std::vector<std::vector<std::size_t>>
-lockstepGroups(const std::vector<SystemConfig> &configs,
-               const std::vector<std::size_t> &indices)
+chainGroups(const std::vector<SystemConfig> &configs,
+            const std::vector<std::size_t> &indices)
 {
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t>
         group_of;
     std::vector<std::vector<std::size_t>> groups;
     for (std::size_t i : indices) {
-        SimKey key = lockstepKey(configs[i]);
+        SimKey key = chainKey(configs[i]);
         auto [it, fresh] =
             group_of.try_emplace({key.lo, key.hi}, groups.size());
         if (fresh)
             groups.emplace_back();
         groups[it->second].push_back(i);
     }
+    for (std::vector<std::size_t> &group : groups) {
+        std::stable_sort(group.begin(), group.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             const SystemConfig &x = configs[a];
+                             const SystemConfig &y = configs[b];
+                             return std::pair(x.dcache.sizeWords,
+                                              x.icache.sizeWords) <
+                                    std::pair(y.dcache.sizeWords,
+                                              y.icache.sizeWords);
+                         });
+    }
     return groups;
+}
+
+/** The machines of a batch that share one L1 front, lead first. */
+struct FrontGroup
+{
+    bool chain; ///< an inclusion-chain front, else a Cache-backed one
+    std::vector<std::size_t> members;
+};
+
+/**
+ * @return @p indices (into @p configs) cut into front groups: a
+ * chainKey() group of chainEligible() configs becomes chains, cut
+ * where the L1I size would decrease or a chain would exceed
+ * FrontLog::kMaxLayers sizes; any other chainKey() group is one
+ * lockstep group.
+ */
+std::vector<FrontGroup>
+frontGroups(const std::vector<SystemConfig> &configs,
+            const std::vector<std::size_t> &indices)
+{
+    std::vector<FrontGroup> fronts;
+    for (const std::vector<std::size_t> &group :
+         chainGroups(configs, indices)) {
+        const bool chain = chainEligible(configs[group.front()]);
+        unsigned layers = 0;
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            const SystemConfig &config = configs[group[k]];
+            bool fresh = k == 0;
+            if (chain && k != 0) {
+                const SystemConfig &prev = configs[group[k - 1]];
+                const bool same =
+                    prev.dcache.sizeWords == config.dcache.sizeWords &&
+                    (!config.split ||
+                     prev.icache.sizeWords == config.icache.sizeWords);
+                layers += !same;
+                fresh = (config.split &&
+                         config.icache.sizeWords < prev.icache.sizeWords) ||
+                        layers == FrontLog::kMaxLayers;
+            }
+            if (fresh) {
+                fronts.push_back({chain, {}});
+                layers = 0;
+            }
+            fronts.back().members.push_back(group[k]);
+        }
+    }
+    return fronts;
 }
 
 } // namespace
@@ -55,9 +116,11 @@ lockstepGroups(const std::vector<SystemConfig> &configs,
 std::size_t
 frontFootprintBytes(const SystemConfig &config)
 {
-    std::size_t bytes = cacheFootprintBytes(config.dcache);
+    const std::size_t per_line =
+        chainEligible(config) ? chainBytesPerLine : bytesPerLine;
+    std::size_t bytes = cacheFootprintBytes(config.dcache, per_line);
     if (config.split)
-        bytes += cacheFootprintBytes(config.icache);
+        bytes += cacheFootprintBytes(config.icache, per_line);
     return bytes;
 }
 
@@ -68,7 +131,7 @@ configFootprintBytes(const SystemConfig &config)
     bytes += frontFootprintBytes(config);
     for (const SystemConfig::MidLevelConfig &mid :
          config.resolvedMidLevels())
-        bytes += cacheFootprintBytes(mid.cache);
+        bytes += cacheFootprintBytes(mid.cache, bytesPerLine);
     return bytes;
 }
 
@@ -83,6 +146,19 @@ lockstepKey(const SystemConfig &config)
     return key;
 }
 
+SimKey
+chainKey(const SystemConfig &config)
+{
+    if (!chainEligible(config))
+        return lockstepKey(config);
+    SystemConfig unsized = config;
+    unsized.icache.sizeWords = 0;
+    unsized.dcache.sizeWords = 0;
+    SimKey key = lockstepKey(unsized);
+    key.lo = mix64(key.lo ^ 0x636861696eULL); // "chain"
+    return key;
+}
+
 std::vector<std::size_t>
 lockstepOrder(const std::vector<SystemConfig> &configs,
               const std::vector<std::size_t> &indices)
@@ -90,7 +166,7 @@ lockstepOrder(const std::vector<SystemConfig> &configs,
     std::vector<std::size_t> order;
     order.reserve(indices.size());
     for (const std::vector<std::size_t> &group :
-         lockstepGroups(configs, indices))
+         chainGroups(configs, indices))
         order.insert(order.end(), group.begin(), group.end());
     return order;
 }
@@ -137,14 +213,15 @@ simulateBatch(const std::vector<SystemConfig> &configs,
         }
     }
 
-    // Machines that differ only in timing share one L1 front: the
-    // first of each lockstep group builds it and probes every span
+    // Machines that differ only in timing share one L1 front, and
+    // chain-eligible ones that also differ in L1 size share a chain
+    // front: the first of each group builds it and probes every span
     // once; the others allocate no L1 state and replay its log.
+    const std::vector<FrontGroup> fronts = frontGroups(configs, classic);
     std::vector<std::vector<System *>> groups;
-    for (const std::vector<std::size_t> &members :
-         lockstepGroups(configs, classic)) {
+    for (const FrontGroup &front : fronts) {
         groups.emplace_back();
-        for (std::size_t i : members)
+        for (std::size_t i : front.members)
             groups.back().push_back(&systems[slots[i].index]);
     }
 
@@ -156,7 +233,12 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     // only; resident streams are consumed zero-copy), producing the
     // same span sequence byte for byte.
     PipelinedFeeder feeder(source);
-    for (const std::vector<System *> &group : groups) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const std::vector<System *> &group = groups[g];
+        if (fronts[g].chain) {
+            System::beginChain(group.data(), group.size(), source);
+            continue;
+        }
         for (System *system : group)
             system->beginRun(source, system == group[0] ? nullptr
                                                         : group[0]);

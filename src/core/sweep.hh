@@ -22,9 +22,14 @@
  * warm restores are: a cache's organizational behaviour does not
  * depend on the cycle time or on anything below it.  A batch slot
  * therefore costs one timing pass per reference, plus one L1/TLB
- * probe per distinct group in the batch.  The entry points list each
- * group's members adjacently (lockstepOrder) before cutting
- * sub-batches, so sharing does not depend on the caller's grid order.
+ * probe per distinct group in the batch.  Direct-mapped machines
+ * that also differ in L1 size (equal chainKey) share one
+ * inclusion-chain front instead: one probe walk per reference serves
+ * every size of the batch (sim/l1_chain.hh).  The entry points list
+ * each chain's members adjacently with their sizes ascending
+ * (lockstepOrder) before cutting sub-batches, so every sub-batch is a
+ * contiguous chain segment and sharing does not depend on the
+ * caller's grid order.
  *
  * The cycle-accurate lattice here is one of the sweep engine's two
  * cooperating paths; the other is the stack-simulation kernel
@@ -53,13 +58,16 @@ struct BatchOptions
     /**
      * Most configs replayed per stream pass.  Each slot costs a
      * timing pass over every reference; its L1/TLB probe is paid
-     * once per lockstep group, so a slot whose group is already in
-     * the batch adds only the timing pass and no L1 arrays.  Wider
-     * batches amortize decode further but dilute per-machine cache
-     * locality; eight is past the knee for every stream family
-     * benchmarked.
+     * once per front, so a slot whose lockstep group is already in
+     * the batch adds only the timing pass and no L1 arrays, and a
+     * chain front's one walk serves every L1 size of the batch.  On
+     * the 44-point timing grid (4-vCPU Xeon) one thread's probe time
+     * fell from 1.2 s at width 8 to 0.57 s at 24 and 0.46 s at 44,
+     * while the timing passes stayed put; at four threads 44 leaves
+     * one task per trace and the pool idles, and 24 beat 8 in each
+     * of four interleaved benchmark rounds (by 3-7%).
      */
-    std::size_t maxBatch = 8;
+    std::size_t maxBatch = 24;
 
     /**
      * Cap on the summed state-arena footprint of one sub-batch, so a
@@ -102,8 +110,10 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
 std::size_t configFootprintBytes(const SystemConfig &config);
 
 /**
- * @return the part of configFootprintBytes() held by the L1 cache
- * arrays, which a lockstep group allocates once for all members.
+ * @return the part of configFootprintBytes() held by the L1 arrays,
+ * which a lockstep group allocates once for all members: Cache
+ * arrays, or a chain layer's 16-byte lines for a chainEligible()
+ * config.
  */
 std::size_t frontFootprintBytes(const SystemConfig &config);
 
@@ -118,10 +128,21 @@ std::size_t frontFootprintBytes(const SystemConfig &config);
 SimKey lockstepKey(const SystemConfig &config);
 
 /**
+ * @return the key under which simulateBatch() lets chainEligible()
+ * machines share an inclusion-chain L1 front (sim/l1_chain.hh):
+ * lockstepKey() with the L1 sizes left out.  Any other config's
+ * chain key is its lockstepKey(): it shares only with its timing
+ * siblings.
+ */
+SimKey chainKey(const SystemConfig &config);
+
+/**
  * @return @p indices (into @p configs) reordered so configs sharing
- * a lockstepKey() are adjacent: groups in order of first appearance,
- * members in their given order.  Sub-batches cut from this order
- * share an L1 front whatever order the caller listed the grid in.
+ * a chainKey() are adjacent, in order of first appearance, and
+ * ascend by L1D then L1I size within it; configs of equal sizes -
+ * a lockstep group - keep their given order.  Sub-batches cut from
+ * this order are contiguous segments of chains and share an L1
+ * front whatever order the caller listed the grid in.
  */
 std::vector<std::size_t>
 lockstepOrder(const std::vector<SystemConfig> &configs,

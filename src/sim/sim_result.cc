@@ -175,7 +175,8 @@ SimResult::regStats(stats::Registry &registry,
     dcache.regStats(registry, root + ".l1d");
     l1Buffer.regStats(registry, root + ".l1wbuf");
     for (std::size_t i = 0; i < midLevels.size(); ++i) {
-        std::string level = "l" + std::to_string(i + 2);
+        std::string level = "l";
+        level.append(std::to_string(i + 2));
         midLevels[i].regStats(registry, root + "." + level);
         if (i < midBuffers.size())
             midBuffers[i].regStats(registry,
@@ -192,8 +193,8 @@ SimResult::regStats(stats::Registry &registry,
         stats::regFields(registry, root + ".missclass", missClasses);
 
         for (std::size_t c = 0; c < coreDcache.size(); ++c) {
-            std::string core =
-                root + ".core" + std::to_string(c);
+            std::string core = root;
+            core.append(".core").append(std::to_string(c));
             if (c < coreIcache.size())
                 coreIcache[c].regStats(registry, core + ".l1i");
             coreDcache[c].regStats(registry, core + ".l1d");

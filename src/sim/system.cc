@@ -69,7 +69,7 @@ System::System(const SystemConfig &config) : config_(config)
     }
 }
 
-System::L1Front::L1Front(const SystemConfig &config)
+System::L1Front::L1Front(const SystemConfig &config) : log(1)
 {
     if (config.addressing == AddressMode::Physical)
         tlb = std::make_unique<Tlb>(config.tlb);
@@ -80,12 +80,28 @@ System::L1Front::L1Front(const SystemConfig &config)
                                      l1Name(config.split, false));
 }
 
+System::L1Front::L1Front(const std::vector<const SystemConfig *> &layers)
+    : chain(std::make_unique<L1Chain>(layers)), log(chain->size())
+{
+}
+
+CacheStats
+System::L1Front::stats(bool iside, unsigned layer) const
+{
+    if (chain)
+        return chain->stats(iside, layer);
+    return (iside ? *icache : *dcache).stats();
+}
+
 void
 System::L1Front::resetStats()
 {
+    if (chain)
+        chain->resetStats();
     if (icache)
         icache->resetStats();
-    dcache->resetStats();
+    if (dcache)
+        dcache->resetStats();
     if (tlb)
         tlb->resetStats();
 }
@@ -100,7 +116,7 @@ System::L1Front::prefetchAfter(Cache &cache, Addr addr, Pid pid,
     if (!record->filled)
         return; // already resident
     ++record;
-    bits |= kPrefetchFill;
+    bits |= FrontLog::kPrefetchFill;
 }
 
 template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
@@ -111,30 +127,11 @@ System::L1Front::probe(const Ref *refs, std::size_t n)
     Cache &dside = *dcache;
     // Sized for the worst case - every reference a miss followed by
     // a prefetch - so the caches write misses straight into the log.
-    if (kinds.size() < n) {
-        kinds.resize(n);
-        records.resize(2 * n);
-        if (HasTlb)
-            paddrs.resize(n);
-        // Runs are separated by event groups: at most (n + 1) / 2,
-        // plus the sentinel.
-        runs.resize(n / 2 + 2);
-    }
-    std::uint8_t *kind = kinds.data();
-    AccessOutcome *record = records.data();
-    Addr *paddr = paddrs.data();
-
-    // The open hit run: its first reference and its shape counts,
-    // which include the current group if that is still a hit.  A
-    // data reference pairs iff the reference before it is an IFetch,
-    // so the shape is counted without branching: an IFetch counts as
-    // a lone read, and the data reference that pairs with it moves
-    // that count to an ifetch+load or ifetch+store one.
-    HitRun *run = runs.data();
-    std::uint32_t run_begin = 0;
-    std::uint64_t shapes = 0;
-    bool prev_ifetch = false;
-    bool prev_event = false;
+    log.reserve(n, HasTlb, 2);
+    std::uint8_t *kind = log.kinds.data();
+    AccessOutcome *record = log.layers[0].records.data();
+    Addr *paddr = log.paddrs.data();
+    RunCutter<Pair> cutter(log);
 
     for (std::size_t i = 0; i < n; ++i) {
         const Ref &ref = refs[i];
@@ -143,25 +140,27 @@ System::L1Front::probe(const Ref *refs, std::size_t n)
         std::uint8_t bits = 0;
         if constexpr (HasTlb) {
             Tlb::Translation t = tlb->translate(addr, pid);
-            bits = t.hit ? 0 : kTlbMiss;
+            bits = t.hit ? 0 : FrontLog::kTlbMiss;
             // Physical tags carry no process id.
             addr = t.paddr;
             pid = 0;
             if (TraceOn || ref.kind == RefKind::Store)
                 *paddr++ = addr;
         }
-        // A hit leaves *record untouched; a miss fills it in place.
+        // A hit leaves *record untouched; a miss fills it in place
+        // and logs depth 1: the front's one layer missed.
         if (ref.kind == RefKind::Store) {
             HitKind hit = dside.writeFast(addr, 1, pid, *record);
-            if (hit == HitKind::Miss) [[unlikely]]
+            if (hit == HitKind::Miss) [[unlikely]] {
                 ++record;
-            bits |= static_cast<std::uint8_t>(hit);
+                bits |= 1;
+            }
         } else {
             Cache &cache = ref.kind == RefKind::IFetch ? iside : dside;
             HitKind hit = cache.readFast(addr, 1, pid, *record);
-            bits |= static_cast<std::uint8_t>(hit);
             const PrefetchPolicy policy = cache.config().prefetchPolicy;
             if (hit == HitKind::Miss) [[unlikely]] {
+                bits |= 1;
                 const AccessOutcome &miss = *record++;
                 // One-block lookahead behind every demand fill (a
                 // victim-cache swap fetches nothing).
@@ -176,37 +175,10 @@ System::L1Front::probe(const Ref *refs, std::size_t n)
             }
         }
         kind[i] = bits;
-
-        if constexpr (!TraceOn) {
-            const bool ifetch = ref.kind == RefKind::IFetch;
-            const bool paired = Pair & prev_ifetch & !ifetch;
-            // An event group ends the open run before the group; a
-            // data reference paired with an event IFetch is part of
-            // that event group.
-            const bool event = ((bits & kKindMask) == 0) |
-                               ((bits & (kTlbMiss | kPrefetchFill)) != 0) |
-                               (paired & prev_event);
-            if (event) [[unlikely]] {
-                const std::uint32_t group =
-                    static_cast<std::uint32_t>(i) - paired;
-                *run = {run_begin, group, shapes - paired};
-                run += group > run_begin;
-                run_begin = static_cast<std::uint32_t>(i) + 1;
-                shapes = 0;
-            } else {
-                const unsigned shape =
-                    (unsigned{paired} << 1) |
-                    unsigned{ref.kind == RefKind::Store};
-                shapes += (std::uint64_t{1} << (16 * shape)) - paired;
-            }
-            prev_ifetch = ifetch;
-            prev_event = event;
-        }
+        // A miss, a TLB miss or a prefetch fill is an event.
+        cutter.add(static_cast<std::uint32_t>(i), ref.kind, bits != 0);
     }
-    const std::uint32_t end = static_cast<std::uint32_t>(n);
-    if (!TraceOn && end > run_begin)
-        *run++ = {run_begin, end, shapes};
-    *run = {end, end, 0};
+    cutter.finish(static_cast<std::uint32_t>(n));
 }
 
 void
@@ -221,7 +193,8 @@ System::buildTiming()
     // Build from the memory upward so each level drains into the
     // one below through its own write buffer.
     for (std::size_t i = mids.size(); i-- > 0;) {
-        std::string name = "L" + std::to_string(i + 2);
+        std::string name = "L";
+        name.append(std::to_string(i + 2));
         midBuffers_.push_back(std::make_unique<WriteBuffer>(
             mids[i].buffer, below, name + ".wbuf"));
         midLevels_.push_back(std::make_unique<CacheLevel>(
@@ -288,7 +261,7 @@ System::accessRead(const Side &side, Tick &busy, const Ref &ref,
     Pid pid = ref.pid;
     Addr addr = ref.addr;
     if constexpr (HasTlb) {
-        if (bits & L1Front::kTlbMiss) [[unlikely]] {
+        if (bits & FrontLog::kTlbMiss) [[unlikely]] {
             CACHETIME_TRACE_EVENT(
                 trace_debug::Tlb, "tlb miss vpage=%llx pid=%u",
                 static_cast<unsigned long long>(
@@ -302,8 +275,7 @@ System::accessRead(const Side &side, Tick &busy, const Ref &ref,
             addr = *log.paddr++;
     }
 
-    if ((bits & L1Front::kKindMask) !=
-        static_cast<std::uint8_t>(HitKind::Miss)) [[likely]] {
+    if ((bits & FrontLog::kDepthMask) <= log.layer) [[likely]] {
         Tick done = start + config_.cpu.readHitCycles;
         if constexpr (TraceOn) {
             CACHETIME_TRACE_EVENT(
@@ -312,7 +284,7 @@ System::accessRead(const Side &side, Tick &busy, const Ref &ref,
                 static_cast<unsigned long long>(addr));
         }
         busy = std::max(busy, done);
-        if (bits & L1Front::kPrefetchFill) [[unlikely]]
+        if (bits & FrontLog::kPrefetchFill) [[unlikely]]
             prefetchTiming(side, busy, pid, done, log);
         return done;
     }
@@ -393,7 +365,7 @@ System::readMissTail(const Side &side, Tick &busy, Addr addr, Pid pid,
         static_cast<unsigned long long>(done - start),
         outcome.victimDirty ? " writeback" : "");
     // One-block lookahead behind the demand fill.
-    if (bits & L1Front::kPrefetchFill)
+    if (bits & FrontLog::kPrefetchFill)
         prefetchTiming(side, busy, pid, fill_done, log);
     return done;
 }
@@ -407,7 +379,7 @@ System::accessWrite(const Side &side, Tick &busy, const Ref &ref,
     Pid pid = ref.pid;
     Addr addr = ref.addr;
     if constexpr (HasTlb) {
-        if (bits & L1Front::kTlbMiss) [[unlikely]] {
+        if (bits & FrontLog::kTlbMiss) [[unlikely]] {
             CACHETIME_TRACE_EVENT(
                 trace_debug::Tlb, "tlb miss vpage=%llx pid=%u",
                 static_cast<unsigned long long>(
@@ -421,8 +393,7 @@ System::accessWrite(const Side &side, Tick &busy, const Ref &ref,
     }
 
     Tick done = start + config_.cpu.writeHitCycles;
-    if ((bits & L1Front::kKindMask) !=
-        static_cast<std::uint8_t>(HitKind::Miss)) [[likely]] {
+    if ((bits & FrontLog::kDepthMask) <= log.layer) [[likely]] {
         if (side.config.writePolicy == WritePolicy::WriteThrough) {
             Tick stall =
                 l1Down_->writeBlock(done, addr, 1, pid);
@@ -534,8 +505,8 @@ System::foldMeasured(Tick now)
     result_.writeRefs += progress_.writes;
     progress_.groups = progress_.reads = progress_.writes = 0;
     if (config_.split)
-        result_.icache.merge(front_->icache->stats());
-    result_.dcache.merge(front_->dcache->stats());
+        result_.icache.merge(front_->stats(true, layer_));
+    result_.dcache.merge(front_->stats(false, layer_));
     // midLevels_ is ordered memory-first; expose CPU-first.
     for (std::size_t i = midLevels_.size(); i-- > 0;) {
         std::size_t out = midLevels_.size() - 1 - i;
@@ -611,9 +582,11 @@ System::replay(const Ref *buffer, std::size_t n)
     Tick &ibusy = Split ? ibusyLocal : dbusyLocal;
     Tick &dbusy = dbusyLocal;
 
-    const std::uint8_t *kinds = front_->kinds.data();
-    LogCursor log{front_->records.data(), front_->paddrs.data()};
-    const L1Front::HitRun *run = front_->runs.data();
+    const FrontLog &front_log = front_->log;
+    const FrontLog::Layer &mine = front_log.layers[layer_];
+    const std::uint8_t *kinds = front_log.kinds.data();
+    LogCursor log{mine.records.data(), front_log.paddrs.data(), layer_};
+    const HitRun *run = mine.runs.data();
     std::size_t head = 0;
     Tick now = progress_.now;
     std::uint64_t groups = 0;
@@ -710,7 +683,6 @@ System::replay(const Ref *buffer, std::size_t n)
 void
 System::beginRun(const RefSource &source, System *lead)
 {
-    buildTiming();
     if (lead) {
         ownFront_.reset();
         front_ = lead->front_;
@@ -718,6 +690,51 @@ System::beginRun(const RefSource &source, System *lead)
         ownFront_ = std::make_unique<L1Front>(config_);
         front_ = ownFront_.get();
     }
+    layer_ = 0;
+    // A follower takes the lead's trace choice: the log's shape
+    // depends on it.
+    arm(source, lead ? lead->runTraceOn_ : trace_debug::flags() != 0);
+}
+
+void
+System::beginChain(System *const *members, std::size_t count,
+                   const RefSource &source)
+{
+    // One layer per distinct L1 size, in member order; members of
+    // equal sizes share a layer.
+    std::vector<const SystemConfig *> layers;
+    std::vector<unsigned> layer_of(count);
+    for (std::size_t k = 0; k < count; ++k) {
+        const SystemConfig &config = members[k]->config_;
+        const SystemConfig *last = layers.empty() ? nullptr : layers.back();
+        const bool split = config.split;
+        if (!last || last->dcache.sizeWords != config.dcache.sizeWords ||
+            (split && last->icache.sizeWords != config.icache.sizeWords)) {
+            if (last && (config.dcache.sizeWords < last->dcache.sizeWords ||
+                         (split && config.icache.sizeWords <
+                                       last->icache.sizeWords)))
+                panic("System::beginChain: L1 sizes must not decrease");
+            layers.push_back(&config);
+        }
+        layer_of[k] = static_cast<unsigned>(layers.size() - 1);
+    }
+    System &lead = *members[0];
+    lead.ownFront_ = std::make_unique<L1Front>(layers);
+    const bool trace_on = trace_debug::flags() != 0;
+    for (std::size_t k = 0; k < count; ++k) {
+        System &member = *members[k];
+        if (k != 0)
+            member.ownFront_.reset();
+        member.front_ = lead.ownFront_.get();
+        member.layer_ = layer_of[k];
+        member.arm(source, trace_on);
+    }
+}
+
+void
+System::arm(const RefSource &source, bool trace_on)
+{
+    buildTiming();
     CACHETIME_TRACE_EVENT(
         trace_debug::Sim, "run start trace=%s refs=%llu warm=%zu",
         source.name().c_str(),
@@ -740,9 +757,7 @@ System::beginRun(const RefSource &source, System *lead)
     // per-reference path re-checks none of them.  The TraceOn=false
     // paths skip even the (cheap) flag loads of the per-reference
     // trace points; results are bit-identical across instantiations.
-    // A follower takes the lead's choice: the log's shape depends
-    // on it.
-    runTraceOn_ = lead ? lead->runTraceOn_ : trace_debug::flags() != 0;
+    runTraceOn_ = trace_on;
     runPair_ = config_.split && config_.cpu.pairIssue;
 
     if (interval_) {
@@ -775,8 +790,8 @@ System::captureIntervalCounters() const
     MainMemoryStats mem = result_.memory;
     if (measuring) {
         if (config_.split)
-            ic.merge(front_->icache->stats());
-        dc.merge(front_->dcache->stats());
+            ic.merge(front_->stats(true, layer_));
+        dc.merge(front_->stats(false, layer_));
         wb.merge(l1Buffer_->stats());
         if (front_->tlb)
             tlb.merge(front_->tlb->stats());
@@ -879,6 +894,16 @@ System::feedGroup(System *const *members, std::size_t count,
 void
 System::probeSpan(const Ref *refs, std::size_t n)
 {
+    if (front_->chain) {
+        withFlags(
+            [&](auto pair_c, auto split_c) {
+                if constexpr (split_c.value || !pair_c.value)
+                    front_->chain->walk<pair_c.value, split_c.value>(
+                        refs, n, front_->log);
+            },
+            runPair_, config_.split);
+        return;
+    }
     withFlags(
         [&](auto trace_c, auto pair_c, auto split_c, auto tlb_c) {
             if constexpr (split_c.value || !pair_c.value)
@@ -952,8 +977,19 @@ expectSection(StateReader &r, const char want[4])
 } // namespace
 
 void
+System::requireCaches(const char *what) const
+{
+    if (front_->chain)
+        fatal("System: cannot %s a machine on an inclusion-chain L1 "
+              "front (only simulateBatch forms chains, and it never "
+              "checkpoints)",
+              what);
+}
+
+void
 System::captureState(StateWriter &w) const
 {
+    requireCaches("capture the state of");
     // A busy horizon at or before the clock acts as the clock
     // itself; whether a hit run was summed or replayed leaves it at
     // different such values, so it is written as the clock.
@@ -994,6 +1030,7 @@ System::captureState(StateWriter &w) const
 void
 System::restoreState(StateReader &r)
 {
+    requireCaches("restore state into");
     expectSection(r, "CLK");
     progress_.now = static_cast<Tick>(r.u64());
     icacheBusy_ = static_cast<Tick>(r.u64());
@@ -1035,6 +1072,7 @@ System::restoreState(StateReader &r)
 void
 System::restoreWarmState(StateReader &r)
 {
+    requireCaches("restore warm state into");
     bool saw_d = false;
     bool saw_i = false;
     bool saw_tlb = false;

@@ -37,6 +37,8 @@
 #include "memory/tlb.hh"
 #include "util/histogram.hh"
 #include "memory/write_buffer.hh"
+#include "sim/front_log.hh"
+#include "sim/l1_chain.hh"
 #include "sim/sim_result.hh"
 #include "sim/system_config.hh"
 #include "trace/trace.hh"
@@ -104,6 +106,20 @@ class System
      */
     void beginRun(const RefSource &source, System *lead = nullptr);
 
+    /**
+     * Arm @p count machines for @p source's stream sharing one
+     * inclusion-chain L1 front (sim/l1_chain.hh), built by
+     * @p members[0]: one layer per distinct L1 size, each member
+     * timing its own.  Every config must be chainEligible(), the
+     * configs must share everything of their lockstepKey() but the
+     * L1 sizes (core/sweep.hh chainKey()), and members are listed
+     * with nondecreasing I and D sizes.  Feed the group with
+     * feedGroup(); members[0] must outlive every member's endRun().
+     * Results are bit-identical to running each member alone.
+     */
+    static void beginChain(System *const *members, std::size_t count,
+                           const RefSource &source);
+
     /** Replay @p n references continuing the armed run. */
     void feedChunk(const Ref *refs, std::size_t n);
 
@@ -146,7 +162,8 @@ class System
      * tagged sections (live-points checkpoints, DESIGN.md section
      * 12).  Valid between feedChunk() calls of an armed run.
      * Statistics are not captured: the measurement boundary resets
-     * them on restore anyway.
+     * them on restore anyway.  A machine on a chain front has no
+     * cache of its own to capture and ends in fatal().
      */
     void captureState(StateWriter &w) const;
 
@@ -176,50 +193,30 @@ class System
   private:
     /**
      * The organizational half of a machine: its L1 cache(s) and
-     * TLB.  Their evolution depends only on the reference stream
-     * and their own config (warmStateKey()), never on timing, so
-     * machines that differ only in timing can share one front.
-     * probe() advances the front through a span and logs what each
-     * reference did; the timing pass reads only that log and the
-     * references, never the caches.
+     * TLB, or an inclusion chain of L1 layers (sim/l1_chain.hh).
+     * Their evolution depends only on the reference stream and their
+     * own config (warmStateKey()), never on timing, so machines that
+     * differ only in timing can share one front, and a chain front
+     * serves machines that also differ in L1 size.  A span's probe
+     * writes the front's log (sim/front_log.hh); the timing pass
+     * reads only that log and the references, never the caches.
      */
     struct L1Front
     {
+        /** A Cache-backed front of one layer. */
         explicit L1Front(const SystemConfig &config);
 
-        /** Outcome byte: the HitKind in the low two bits, plus: */
-        static constexpr std::uint8_t kKindMask = 3;
-        static constexpr std::uint8_t kTlbMiss = 4; ///< translation missed
-        /** A lookahead prefetch filled; its record follows. */
-        static constexpr std::uint8_t kPrefetchFill = 8;
+        /** A chain front: one layer per config (see L1Chain). */
+        explicit L1Front(const std::vector<const SystemConfig *> &layers);
 
         /**
-         * A maximal run of hit groups: issue groups (a lone
-         * reference, or an IFetch with the data reference it pairs
-         * with) whose references all hit, with no TLB miss and no
-         * prefetch fill.  Such a group's timing is a pure function
-         * of its shape, so the timing pass can sum a whole run.
-         */
-        struct HitRun
-        {
-            std::uint32_t begin; ///< first reference of the run
-            std::uint32_t end;   ///< one past its last reference
-            /**
-             * Four 16-bit group counts, indexed by shape
-             * (paired << 1 | store): lone read, lone store,
-             * ifetch+load, ifetch+store.
-             */
-            std::uint64_t shapes;
-        };
-
-        /**
-         * Probe @p n references and rewrite the log: one outcome
-         * byte per reference; in issue order, the AccessOutcome of
-         * every demand miss and of every prefetch that filled; with
-         * a TLB, the translated address of every store (and of every
-         * reference while tracing); and, unless tracing, the hit
-         * runs in order, closed by a {n, n} sentinel.  @p Pair must
-         * match the members' couplet pairing.
+         * Probe @p n references through the caches and rewrite the
+         * log: per reference its depth (0 on a hit, 1 on a miss) and
+         * flags; in issue order, the AccessOutcome of every demand
+         * miss and of every prefetch that filled; with a TLB, the
+         * translated address of every store (and of every reference
+         * while tracing); and the hit runs.  @p Pair must match the
+         * members' couplet pairing.
          */
         template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
         void probe(const Ref *refs, std::size_t n);
@@ -231,16 +228,17 @@ class System
         void prefetchAfter(Cache &cache, Addr addr, Pid pid,
                            AccessOutcome *&record, std::uint8_t &bits);
 
+        /** @return layer @p layer's statistics for one L1 role. */
+        CacheStats stats(bool iside, unsigned layer) const;
+
         void resetStats();
 
         std::unique_ptr<Cache> icache; ///< split L1 only
         std::unique_ptr<Cache> dcache; ///< L1D, or the unified L1
         std::unique_ptr<Tlb> tlb;      ///< physical addressing only
+        std::unique_ptr<L1Chain> chain; ///< instead of the caches
 
-        std::vector<std::uint8_t> kinds;
-        std::vector<AccessOutcome> records;
-        std::vector<Addr> paddrs;
-        std::vector<HitRun> runs;
+        FrontLog log;
     };
 
     /** Read position in the front's log during one timing pass. */
@@ -248,6 +246,7 @@ class System
     {
         const AccessOutcome *record;
         const Addr *paddr;
+        unsigned layer; ///< the member misses above this depth
     };
 
     /** What the timing pass knows of one L1: config and trace name. */
@@ -256,6 +255,15 @@ class System
         const CacheConfig &config;
         const char *name;
     };
+
+    /**
+     * Arm a run over @p source on the front already chosen: reset
+     * the timing half, the result and the run progress.
+     */
+    void arm(const RefSource &source, bool trace_on);
+
+    /** fatal() unless this machine's L1 caches can be checkpointed. */
+    void requireCaches(const char *what) const;
 
     /**
      * Build the timing half from config_: memory, the intermediate
@@ -358,6 +366,8 @@ class System
     std::unique_ptr<L1Front> ownFront_;
     /** The front the armed run probes: ownFront_ or a lead's. */
     L1Front *front_ = nullptr;
+    /** This machine's layer of front_ (0 unless it is a chain). */
+    unsigned layer_ = 0;
 
     std::unique_ptr<MainMemory> memory_;
     /** Intermediate levels, nearest to memory first when built. */

@@ -51,7 +51,8 @@ SystemConfig::validate() const
         std::max(dcache.blockWords, split ? icache.blockWords : 0u);
     unsigned level = 2;
     for (const MidLevelConfig &mid : resolvedMidLevels()) {
-        std::string what = "L" + std::to_string(level) + " cache";
+        std::string what = "L";
+        what.append(std::to_string(level)).append(" cache");
         mid.cache.validate(what.c_str());
         if (mid.cache.blockWords < prev_block) {
             fatal("system: %s block size must be >= the level above",

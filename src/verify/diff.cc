@@ -81,7 +81,8 @@ diffResults(const SimResult &a, const SimResult &b)
     d.fields("dcache", a.dcache, b.dcache);
 
     auto level = [](std::size_t i) {
-        return "L" + std::to_string(i + 2);
+        std::string name = "L";
+        return name.append(std::to_string(i + 2));
     };
     d.each("midLevels", a.midLevels, b.midLevels, level);
     d.each("midBuffers", a.midBuffers, b.midBuffers,

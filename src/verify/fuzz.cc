@@ -421,6 +421,29 @@ diffLockstepBatch(const FuzzCase &fuzz_case, const SimResult &oracle,
               diffs);
 }
 
+/**
+ * Run a chainEligible() case's lockstepSiblings() at each of its
+ * stackLattice() sizes as one fused batch - every member on one
+ * inclusion-chain L1 front, timing its own size - and diff each
+ * member against its own oracle run ("batch.chain.<k>."; member 0
+ * is the case's config, whose oracle run is @p oracle).
+ */
+void
+diffChainBatch(const FuzzCase &fuzz_case, const SimResult &oracle,
+               std::vector<FieldDiff> &diffs)
+{
+    std::vector<SystemConfig> group;
+    for (const SystemConfig &sized : stackLattice(fuzz_case.config))
+        for (const SystemConfig &sibling : lockstepSiblings(sized))
+            group.push_back(sibling);
+    diffBatch("batch.chain.", fuzz_case, group,
+              [&](std::size_t k) {
+                  return k == 0 ? oracle
+                                : oracleRun(group[k], fuzz_case.trace);
+              },
+              diffs);
+}
+
 // ---------------------------------------------------------------
 // Repro serialization.
 // ---------------------------------------------------------------
@@ -795,6 +818,8 @@ checkCase(const FuzzCase &fuzz_case)
     }
     if (!fuzz_case.config.coherent())
         diffLockstepBatch(fuzz_case, outcome.oracle, outcome.diffs);
+    if (chainEligible(fuzz_case.config))
+        diffChainBatch(fuzz_case, outcome.oracle, outcome.diffs);
     outcome.mismatch = !outcome.diffs.empty();
     return outcome;
 }

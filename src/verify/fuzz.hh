@@ -82,7 +82,10 @@ std::vector<SystemConfig> lockstepSiblings(const SystemConfig &config);
  * front - and each result must equal its own oracle run (diff
  * fields prefixed "batch.<sibling>.").  The same group with hardware
  * prefetch and a victim cache, which the oracle does not model, must
- * equal each member's single-machine run ("batch.prefetch.").
+ * equal each member's single-machine run ("batch.prefetch.").  A
+ * chainEligible() config also runs its siblings at each of the
+ * stack lattice's sizes as one batch sharing an inclusion-chain
+ * front, each member against its own oracle run ("batch.chain.").
  */
 CaseOutcome checkCase(const FuzzCase &fuzz_case);
 

@@ -15,6 +15,7 @@
 #include "sim/coherent.hh"
 #include "sim/system.hh"
 #include "trace/ref_source.hh"
+#include "trace/workloads.hh"
 #include "util/parallel.hh"
 #include "util/serialize.hh"
 #include "verify/fuzz.hh"
@@ -286,6 +287,86 @@ TEST(Checkpoint, SplitRunIsBitIdenticalOverFuzzCorpus)
         ASSERT_TRUE(uninterrupted == continued)
             << "end states diverge at seed " << base_seed + i;
     }
+}
+
+/**
+ * A hit run whose first group waits on a busy horizon (a fill that
+ * outlasts early continuation, or a prefetch fill the CPU does not
+ * wait for) is replayed reference by reference; cut inside it, the
+ * restored machine sums the rest, because by then both horizons are
+ * at or before the clock.  The two runs leave different horizons
+ * trailing the clock, which act as the clock alike, so the capture
+ * must write them as the clock.  Cut a Table 1 prefix, past its cold
+ * start where hit runs grow long, a few references before each of
+ * many ends, and compare the end states with an uncut run's.
+ */
+TEST(Checkpoint, SplitInsideHitRunMatchesWholeRun)
+{
+    const Trace trace = generate(table1Workloads()[0], 0.01);
+    const std::vector<Ref> &refs = trace.refs();
+    ASSERT_GT(refs.size(), 76000u);
+    for (bool prefetch : {false, true}) {
+        SystemConfig config = SystemConfig::paperDefault();
+        config.cpu.earlyContinuation = !prefetch;
+        if (prefetch) {
+            config.icache.prefetchPolicy = PrefetchPolicy::Tagged;
+            config.dcache.prefetchPolicy = PrefetchPolicy::Tagged;
+        }
+        const bool pair = config.split && config.cpu.pairIssue;
+        for (std::size_t end = 20000; end <= 76000; end += 997) {
+            const std::size_t cut = slideCut(refs, end - 7, pair);
+            TraceRefSource source(trace);
+            System whole(config);
+            whole.beginRun(source);
+            whole.feedChunk(refs.data(), end);
+            StateWriter whole_end;
+            whole.captureState(whole_end);
+
+            System first(config);
+            first.beginRun(source);
+            first.feedChunk(refs.data(), cut);
+            StateWriter w;
+            first.captureState(w);
+            System second(config);
+            second.beginRun(source);
+            StateReader r(w.buffer().data(), w.buffer().size(), "cut");
+            second.restoreState(r);
+            second.feedChunk(refs.data() + cut, end - cut);
+            StateWriter second_end;
+            second.captureState(second_end);
+            EXPECT_TRUE(whole_end.take() == second_end.take())
+                << "prefetch " << prefetch << " end " << end << " cut "
+                << cut;
+        }
+    }
+}
+
+/**
+ * Members of an inclusion-chain front own no caches to capture or
+ * restore: every checkpoint entry point ends in a clean fatal().
+ */
+TEST(Checkpoint, ChainMemberEndsInFatal)
+{
+    SystemConfig small = SystemConfig::paperDefault();
+    small.setL1SizeWordsEach(256);
+    SystemConfig large = SystemConfig::paperDefault();
+    const verify::FuzzCase fuzz_case = verify::generateCase(70001);
+    TraceRefSource source(fuzz_case.trace);
+    System first(small);
+    System second(large);
+    System *members[] = {&first, &second};
+    System::beginChain(members, 2, source);
+    System alone(large);
+    alone.beginRun(source);
+    StateWriter w;
+    alone.captureState(w);
+    EXPECT_EXIT(first.captureState(w), ::testing::ExitedWithCode(1),
+                "inclusion-chain");
+    StateReader r(w.buffer().data(), w.buffer().size(), "chain");
+    EXPECT_EXIT(second.restoreState(r), ::testing::ExitedWithCode(1),
+                "inclusion-chain");
+    EXPECT_EXIT(second.restoreWarmState(r), ::testing::ExitedWithCode(1),
+                "inclusion-chain");
 }
 
 TEST(Checkpoint, SplitRunBitIdenticalAcrossThreadCounts)

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <tuple>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
@@ -25,6 +26,7 @@
 #include "trace/workloads.hh"
 #include "trace_debug/trace_debug.hh"
 #include "util/parallel.hh"
+#include "util/rng.hh"
 #include "util/serialize.hh"
 #include "verify/fuzz.hh"
 #include "verify/oracle.hh"
@@ -352,6 +354,46 @@ TEST(Differential, BatchedSweepIndependentOfGridOrder)
                                   where);
         }
     }
+
+    // A size x cycle-time grid of the paper's machine shares one
+    // inclusion-chain front per sub-batch; a shuffled listing must
+    // aggregate every point to the doubles of a per-config run.
+    std::vector<SystemConfig> grid;
+    for (std::uint64_t words : {64u, 128u, 256u, 512u, 1024u}) {
+        for (double cycle : {20.0, 40.0, 60.0}) {
+            SystemConfig config = SystemConfig::paperDefault();
+            config.icache.sizeWords = words;
+            config.dcache.sizeWords = words;
+            config.cycleNs = cycle;
+            grid.push_back(config);
+        }
+    }
+    std::vector<std::size_t> shuffled(grid.size());
+    for (std::size_t i = 0; i < shuffled.size(); ++i)
+        shuffled[i] = i;
+    Rng rng(46599);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    std::vector<SystemConfig> shuffled_grid;
+    for (std::size_t i : shuffled)
+        shuffled_grid.push_back(grid[i]);
+
+    SimCache::global().setEnabled(false);
+    std::vector<AggregateMetrics> serial;
+    for (const SystemConfig &config : grid)
+        serial.push_back(runGeoMean(config, traces));
+    for (unsigned threads : {1u, 8u}) {
+        setParallelThreads(threads);
+        const std::vector<AggregateMetrics> got =
+            runGeoMeanMany(shuffled_grid, traces);
+        for (std::size_t k = 0; k < shuffled.size(); ++k)
+            expectSameMetrics(got[k], serial[shuffled[k]],
+                              "grid point " + std::to_string(shuffled[k]) +
+                                  " at " + std::to_string(threads) +
+                                  " threads");
+    }
+    setParallelThreads(0);
+    SimCache::global().setEnabled(cache_was_enabled);
 }
 
 /**
@@ -391,6 +433,61 @@ TEST(Differential, FusedBatchLockstepMatchesSerialRuns)
             }
         }
     }
+}
+
+/**
+ * One fused batch over machines that differ in L1 size and timing
+ * shares an inclusion-chain front per organization: each member
+ * times its own size from one probe walk per reference.  Every
+ * member must equal simulateOne bit for bit, over a Table 1 trace
+ * with a warm start and two warm segments, with couplet pairing on
+ * and off, early continuation on and off, and the store policies
+ * that move dirty words between layers (write-back with and without
+ * write-allocate) or keep none (write-through); a unified L1 and a
+ * split one whose I sizes lag its D sizes ride along.
+ */
+TEST(Differential, ChainSharedBatchMatchesSerialRuns)
+{
+    const Trace plain = generate(table1Workloads()[1], 0.01);
+    Trace trace(plain.name(), plain.refs(), plain.size() / 8);
+    const std::size_t third = trace.size() / 3;
+    trace.setWarmSegments(
+        {{third, third + 777}, {2 * third + 3, 2 * third + 1500}});
+
+    std::vector<SystemConfig> bases(6, SystemConfig::paperDefault());
+    bases[1].cpu.pairIssue = false;
+    bases[2].dcache.allocPolicy = AllocPolicy::WriteAllocate;
+    bases[3].dcache.writePolicy = WritePolicy::WriteThrough;
+    bases[4].split = false;
+    bases[5].icache.virtualTags = false;
+    bases[5].dcache.virtualTags = false;
+
+    std::vector<SystemConfig> all;
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+        for (std::uint64_t words : {256u, 1024u, 4096u}) {
+            for (bool early : {false, true}) {
+                SystemConfig config = bases[b];
+                config.dcache.sizeWords = words;
+                // The I side of the last base grows more slowly.
+                config.icache.sizeWords =
+                    b + 1 == bases.size() ? words / 4 : words;
+                config.cpu.earlyContinuation = early;
+                config.cycleNs = early ? 20.0 : 60.0;
+                ASSERT_TRUE(chainEligible(config));
+                all.push_back(config);
+            }
+        }
+    }
+    // Reverse the listing so the batch's ordering does the sorting.
+    std::reverse(all.begin(), all.end());
+
+    TraceRefSource source(trace);
+    const std::vector<SimResult> batch = simulateBatch(all, source);
+    ASSERT_EQ(batch.size(), all.size());
+    for (std::size_t c = 0; c < all.size(); ++c)
+        EXPECT_EQ(fingerprint(batch[c]),
+                  fingerprint(simulateOne(all[c], trace)))
+            << "config " << c << " (" << all[c].describe() << ")";
 }
 
 // --- hit-run compression -------------------------------------------
@@ -985,6 +1082,138 @@ TEST(WarmStateKey, TimingFieldsShareKeyAndL1Counters)
                 << edit.name << " seed " << seed;
         }
     }
+}
+
+/**
+ * chainKey() decides which machines share an inclusion-chain front:
+ * configs that differ only in L1 sizes and in timing share it, while
+ * their lockstepKey()s differ exactly when the sizes do.
+ */
+TEST(ChainKey, SizeAndTimingFieldsShareChain)
+{
+    for (bool split : {true, false}) {
+        SystemConfig base = SystemConfig::paperDefault();
+        base.split = split;
+        ASSERT_TRUE(chainEligible(base));
+        for (std::uint64_t dwords : {512u, 16384u, 1u << 19}) {
+            for (std::uint64_t iwords : {512u, 4096u}) {
+                SystemConfig config = base;
+                config.dcache.sizeWords = dwords;
+                config.icache.sizeWords = iwords;
+                config.cycleNs = 20.0;
+                config.memory.readLatencyNs += 60.0;
+                config.cpu.earlyContinuation = true;
+                const std::string where = "split " + std::to_string(split) +
+                                          " D " + std::to_string(dwords) +
+                                          " I " + std::to_string(iwords);
+                EXPECT_TRUE(chainKey(config) == chainKey(base)) << where;
+                const bool same_sizes =
+                    dwords == base.dcache.sizeWords &&
+                    (!split || iwords == base.icache.sizeWords);
+                EXPECT_EQ(lockstepKey(config) == lockstepKey(base),
+                          same_sizes)
+                    << where;
+            }
+        }
+    }
+}
+
+/**
+ * The converse: any other L1 organization field, couplet pairing,
+ * the split and the addressing mode separate chains - also between
+ * configs of different sizes - whether the changed config stays
+ * chain-eligible (its key then differs in that field) or not (its
+ * chain key is then its lockstepKey()).
+ */
+TEST(ChainKey, OrganizationFieldsSplitChains)
+{
+    const SystemConfig split = SystemConfig::paperDefault();
+    SystemConfig unified = split;
+    unified.split = false;
+
+    std::vector<std::pair<SystemConfig, ConfigEdit>> cases;
+    for (const auto &[base, role, member] :
+         {std::tuple(split, "icache", &SystemConfig::icache),
+          std::tuple(split, "dcache", &SystemConfig::dcache),
+          std::tuple(unified, "unified", &SystemConfig::dcache)})
+        for (const ConfigEdit &edit : cacheFieldEdits(role, member))
+            if (edit.name.find("sizeWords") == std::string::npos)
+                cases.emplace_back(base, edit);
+    const std::vector<ConfigEdit> machine_edits = {
+        {"pairIssue",
+         [](SystemConfig &c) { c.cpu.pairIssue = !c.cpu.pairIssue; }},
+        {"split", [](SystemConfig &c) { c.split = !c.split; }},
+        {"addressing",
+         [](SystemConfig &c) { c.addressing = AddressMode::Physical; }},
+    };
+    for (const ConfigEdit &edit : machine_edits)
+        cases.emplace_back(split, edit);
+
+    for (const auto &[base, edit] : cases) {
+        SystemConfig changed = base;
+        edit.apply(changed);
+        EXPECT_FALSE(chainKey(changed) == chainKey(base)) << edit.name;
+        SystemConfig grown = changed;
+        grown.icache.sizeWords *= 4;
+        grown.dcache.sizeWords *= 4;
+        EXPECT_FALSE(chainKey(grown) == chainKey(base)) << edit.name;
+    }
+}
+
+/**
+ * lockstepOrder() lists each chain's members adjacently with their
+ * L1 sizes ascending and keeps a lockstep group's members in their
+ * given order, whatever order the grid is listed in.
+ */
+TEST(ChainKey, OrderIsAdjacentAndAscending)
+{
+    std::vector<SystemConfig> configs;
+    for (bool pair : {true, false}) {
+        for (std::uint64_t words : {4096u, 256u, 1024u}) {
+            for (double cycle : {20.0, 60.0}) {
+                SystemConfig config = SystemConfig::paperDefault();
+                config.cpu.pairIssue = pair;
+                config.icache.sizeWords = words;
+                config.dcache.sizeWords = words;
+                config.cycleNs = cycle;
+                configs.push_back(config);
+            }
+        }
+    }
+    // An ineligible config between them keeps its own group.
+    configs.insert(configs.begin() + 3, SystemConfig::paperDefault());
+    configs[3].dcache.assoc = 2;
+    std::vector<std::size_t> shuffled(configs.size());
+    for (std::size_t i = 0; i < shuffled.size(); ++i)
+        shuffled[i] = (i * 5) % shuffled.size(); // 13 entries: a permutation
+
+    const std::vector<std::size_t> order =
+        lockstepOrder(configs, shuffled);
+    ASSERT_EQ(order.size(), configs.size());
+    std::vector<SimKey> seen;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        const SystemConfig &config = configs[order[k]];
+        const SimKey key = chainKey(config);
+        if (k == 0 || !(chainKey(configs[order[k - 1]]) == key)) {
+            // A chain starts: it must not have appeared before.
+            EXPECT_TRUE(std::find(seen.begin(), seen.end(), key) ==
+                        seen.end())
+                << "chain split at position " << k;
+            seen.push_back(key);
+            continue;
+        }
+        const SystemConfig &prev = configs[order[k - 1]];
+        EXPECT_LE(prev.dcache.sizeWords, config.dcache.sizeWords) << k;
+        if (prev.dcache.sizeWords == config.dcache.sizeWords) {
+            // A lockstep group keeps the order it was given in.
+            const auto at = [&](std::size_t index) {
+                return std::find(shuffled.begin(), shuffled.end(), index) -
+                       shuffled.begin();
+            };
+            EXPECT_LT(at(order[k - 1]), at(order[k])) << k;
+        }
+    }
+    EXPECT_EQ(seen.size(), 3u); // two pairing chains, one ineligible
 }
 
 } // namespace
